@@ -512,7 +512,7 @@ def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
     The bound is re-derived from artifact bytes alone — the registry DFG
     (already fingerprint-matched by provenance) and the stored grid/page
     geometry — via the same :func:`repro.compiler.feas.ii_lower_bound`
-    every backend's ladder starts from.  The terms only assume what any
+    the mapper's ladder starts from.  The terms only assume what any
     legal modulo schedule must satisfy (one op per (PE, slot), memory
     issue-slot and capability budgets, recurrence circuits), so an II
     *below* the bound is impossible, whatever heuristic produced it.

@@ -31,7 +31,6 @@ __all__ = [
     "run_compile_speed",
     "geomean_speedup",
     "render_report",
-    "backend_summary",
     "search_totals",
     "update_bench_file",
     "main",
@@ -44,17 +43,13 @@ DEFAULT_OUT = "BENCH_compile_speed.json"
 _FLOOR_SECONDS = 1e-3
 
 
-def _job_key(
-    kernel: str, page_size: int, arch: str | None = None, backend: str = "flat"
-) -> str:
-    """Bench-entry job key.  Arch/backend qualifiers append only when
-    non-default, so historical entries (pre-preset, flat-only) keep their
-    keys and stay comparable in the geomean."""
+def _job_key(kernel: str, page_size: int, arch: str | None = None) -> str:
+    """Bench-entry job key.  The arch qualifier appends only when set, so
+    historical (pre-preset) entries keep their keys and stay comparable in
+    the geomean."""
     key = f"{kernel}/ps{page_size}"
     if arch is not None:
         key += f"/{arch}"
-    if backend != "flat":
-        key += f"/{backend}"
     return key
 
 
@@ -66,7 +61,6 @@ def run_compile_speed(
     seed: int = 0,
     workers: int = 1,
     arch: str | None = None,
-    backend: str = "flat",
 ) -> list[CompileStats]:
     """Cold-compile the suite and return one :class:`CompileStats` per job.
 
@@ -74,8 +68,7 @@ def run_compile_speed(
     probes over one shared process pool (jobs stay sequential, so per-job
     timings and counters remain cleanly attributed); artifacts and IIs are
     byte-identical to the serial run.  *arch* selects a fabric preset
-    (``repro.arch.presets``; overrides *size*), *backend* the paged
-    mapping strategy (``"flat"``, ``"hier"`` or ``"exact"``).
+    (``repro.arch.presets``; overrides *size*).
     """
     if arch is not None:
         from repro.arch.presets import preset
@@ -84,7 +77,7 @@ def run_compile_speed(
     names = list(kernels) if kernels else kernel_names()
     sizes = list(page_sizes) if page_sizes else page_sizes_for(size)
     jobs = [
-        CompileJob(kernel, size, ps, seed=seed, arch=arch, backend=backend)
+        CompileJob(kernel, size, ps, seed=seed, arch=arch)
         for kernel in names
         for ps in sizes
     ]
@@ -142,36 +135,9 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
         )
     total = sum(st.seconds for st in stats)
     lines.append(f"total: {total:.2f}s over {len(stats)} cold compile(s)")
-    hier_att = sum(st.counters.get("hier_attempts", 0) for st in stats)
-    if hier_att:
-        hier_wins = sum(st.counters.get("hier_wins", 0) for st in stats)
-        flat_att = sum(st.counters.get("hier_flat_attempts", 0) for st in stats)
-        flat_wins = sum(st.counters.get("hier_flat_wins", 0) for st in stats)
-        lines.append(
-            f"hier backend: clustered {hier_wins}/{hier_att} wins, "
-            f"flat-fallback {flat_wins}/{flat_att} wins"
-        )
-    rungs = {
-        k: sum(st.counters.get(k, 0) for st in stats)
-        for k in ("rungs_skipped", "rungs_pruned", "exact_probes", "exact_wins")
-    }
-    if any(rungs.values()):
-        lines.append(
-            "II rungs: {rungs_skipped} skipped (ladder memoization), "
-            "{rungs_pruned} pruned (feasibility certificates), "
-            "{exact_probes} SAT probes ({exact_wins} refuted)".format(**rungs)
-        )
-    board = backend_summary(stats)
-    if len(board) > 1 or any(b != "flat" for b in board):
-        lines.append("backend leaderboard (by total seconds):")
-        for name, rec in sorted(board.items(), key=lambda kv: kv[1]["seconds"]):
-            extra = ""
-            if rec.get("win_rate") is not None:
-                extra = f", win rate {rec['win_rate']:.0%}"
-            lines.append(
-                f"  {name:<6} {rec['seconds']:>8.2f}s over {rec['jobs']} "
-                f"job(s){extra}"
-            )
+    skipped = sum(st.counters.get("rungs_skipped", 0) for st in stats)
+    if skipped:
+        lines.append(f"II rungs: {skipped} skipped (ladder memoization)")
     search = search_totals(stats)
     if search is not None:
         lines.append(
@@ -184,7 +150,7 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
     if entries:
         base = entries[0]
         current = {
-            _job_key(st.kernel, st.page_size, st.arch, st.backend): st.seconds
+            _job_key(st.kernel, st.page_size, st.arch): st.seconds
             for st in stats
         }
         speedup = geomean_speedup(_seconds_by_job(base), current)
@@ -193,49 +159,6 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
                 f"geomean speedup vs '{base['label']}': {speedup:.2f}x"
             )
     return "\n".join(lines)
-
-
-def backend_summary(stats: Sequence[CompileStats]) -> dict[str, dict]:
-    """Per-backend aggregate: job count, wall clock, rung accounting and
-    the backend's *win rate* — how often its distinguishing mechanism beat
-    the plain flat ladder (clustered placements for ``hier``, UNSAT rung
-    refutations for ``exact``; the flat ladder has no such mechanism, so
-    its rate is ``None``)."""
-    out: dict[str, dict] = {}
-    for st in stats:
-        rec = out.setdefault(
-            st.backend,
-            {
-                "jobs": 0,
-                "seconds": 0.0,
-                "rungs_skipped": 0,
-                "rungs_pruned": 0,
-                "exact_probes": 0,
-                "exact_wins": 0,
-                "hier_attempts": 0,
-                "hier_wins": 0,
-            },
-        )
-        rec["jobs"] += 1
-        rec["seconds"] += st.seconds
-        for k in (
-            "rungs_skipped",
-            "rungs_pruned",
-            "exact_probes",
-            "exact_wins",
-            "hier_attempts",
-            "hier_wins",
-        ):
-            rec[k] += st.counters.get(k, 0)
-    for name, rec in out.items():
-        rec["seconds"] = round(rec["seconds"], 3)
-        if name == "hier" and rec["hier_attempts"]:
-            rec["win_rate"] = round(rec["hier_wins"] / rec["hier_attempts"], 4)
-        elif name == "exact" and rec["exact_probes"]:
-            rec["win_rate"] = round(rec["exact_wins"] / rec["exact_probes"], 4)
-        else:
-            rec["win_rate"] = None
-    return out
 
 
 def search_totals(stats: Sequence[CompileStats]) -> dict | None:
@@ -270,7 +193,7 @@ def _entry_from_stats(
     totals: dict[str, int] = {}
     jobs = {}
     for st in stats:
-        jobs[_job_key(st.kernel, st.page_size, st.arch, st.backend)] = st.as_record()
+        jobs[_job_key(st.kernel, st.page_size, st.arch)] = st.as_record()
         for name, value in st.counters.items():
             totals[name] = totals.get(name, 0) + value
     entry = {
@@ -281,7 +204,6 @@ def _entry_from_stats(
         "workers": workers,
         "total_seconds": round(sum(st.seconds for st in stats), 3),
         "counters_total": totals,
-        "backends": backend_summary(stats),
         "jobs": jobs,
     }
     search = search_totals(stats)
@@ -329,7 +251,6 @@ def main(args) -> int:
     size = args.size or 4
     workers = getattr(args, "workers", 1) or 1
     arch = getattr(args, "arch", None)
-    backend = getattr(args, "backend", None) or "flat"
     stats = run_compile_speed(
         size=size,
         kernels=kernels,
@@ -337,7 +258,6 @@ def main(args) -> int:
         seed=args.seed,
         workers=workers,
         arch=arch,
-        backend=backend,
     )
     out = Path(args.out or DEFAULT_OUT)
     history = json.loads(out.read_text()) if out.exists() else None
@@ -350,11 +270,11 @@ def main(args) -> int:
         # Partial sweeps (CI smoke) must not overwrite the full-suite entry.
         print(f"[skip] partial kernel/page-size selection; not updating {out}")
         return 0
-    if (arch is not None or backend != "flat") and args.label == "current":
-        # Arch/backend variants get their own entries; never clobber the
-        # default 4x4 flat trajectory under the 'current' label.
+    if arch is not None and args.label == "current":
+        # Arch variants get their own entries; never clobber the default
+        # 4x4 trajectory under the 'current' label.
         print(
-            f"[skip] arch/backend variant needs an explicit --label; "
+            f"[skip] arch variant needs an explicit --label; "
             f"not updating {out}"
         )
         return 0

@@ -149,12 +149,6 @@ def _parser() -> argparse.ArgumentParser:
         "overrides --size)",
     )
     p.add_argument(
-        "--backend",
-        choices=["flat", "hier", "exact"],
-        default=None,
-        help="paged mapping backend (compile-speed; default flat)",
-    )
-    p.add_argument(
         "--label",
         default="current",
         help="entry label recorded in the bench file (compile-speed)",

@@ -79,7 +79,6 @@ def _job_of(payload: dict) -> CompileJob:
         prefer=payload.get("prefer", "square"),
         seed=payload.get("seed", 0),
         arch=payload.get("arch"),
-        backend=payload.get("backend", "flat"),
     )
 
 

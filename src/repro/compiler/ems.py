@@ -68,25 +68,11 @@ class MapperConfig:
     candidate_cap: int = 10  # feasible candidates scored per op
     eval_budget: int = 200  # total (time, PE) candidates probed per op
     root_margin: int = 2  # extra slack before anchor-less non-source ops
-    #: Paged-mapping backend: "flat" is the original single-level ladder;
-    #: "hier" prepends a cluster-then-place hierarchical attempt at every II
-    #: rung (:mod:`repro.compiler.hier`); "exact" is the flat ladder with
-    #: SAT-certificate rung pruning (:mod:`repro.compiler.exact`).
-    backend: str = "flat"
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("flat", "hier", "exact"):
-            raise MappingError(f"unknown mapper backend {self.backend!r}")
 
     def fingerprint(self) -> str:
         """Canonical hash over every knob — any tuning change invalidates
-        cached artifacts keyed on it (:mod:`repro.pipeline`).  The default
-        ``backend`` is dropped from the payload so configs predating the
-        knob keep their fingerprint (and committed artifact addresses)."""
-        payload = asdict(self)
-        if payload["backend"] == "flat":
-            del payload["backend"]
-        return canonical_fingerprint(payload)
+        cached artifacts keyed on it (:mod:`repro.pipeline`)."""
+        return canonical_fingerprint(asdict(self))
 
 
 @dataclass
@@ -156,9 +142,6 @@ class EMSMapper:
             if self._mem_ok is None
             else sum(1 for pid in self._allowed_ids if self._mem_ok[pid])
         )
-        # Per-op placement domains (hier backend: ops pinned to one page's
-        # PEs); empty outside a hierarchical attempt.
-        self._op_domains: dict[int, tuple[int, ...]] = {}
         # one-slot memo of the per-op trap tables, keyed on the DFG's
         # adjacency epoch (see DFG._adjacency)
         self._trap_cache: tuple | None = None
@@ -213,12 +196,8 @@ class EMSMapper:
         rng = make_rng(self.config.seed)
         orders = self.attempt_orders(dfg)
         for ii in range(start_ii, self.config.max_ii + 1):
-            skip = resume_ii is not None and ii < resume_ii
-            if skip:
+            if resume_ii is not None and ii < resume_ii:
                 counters().rungs_skipped += 1
-            elif self.rung_infeasible(dfg, ii):
-                skip = True  # hook holds a proof; it does its own counting
-            if skip:
                 # burn the skipped rung's perturbation draws to keep the
                 # stream position identical to a full climb
                 for attempt in range(self.config.attempts_per_ii):
@@ -264,19 +243,6 @@ class EMSMapper:
         if min_ii is not None:
             start_ii = max(start_ii, min_ii)
         return start_ii
-
-    def rung_infeasible(self, dfg: DFG, ii: int) -> bool:
-        """Certificate hook: may a backend *prove* rung *ii* dead?
-
-        The flat ladder never prunes.  Overrides (the exact backend's SAT
-        refutation, :class:`repro.compiler.exact.ExactMapper`) must hold a
-        soundness proof covering every attempt the rung would have run —
-        a pruned rung burns its rng draws but is otherwise skipped, so an
-        unsound prune would change the ladder's outcome, not just its
-        cost.  Only consulted by the serial climb; speculative portfolio
-        probes replay single lattice points and never prune.
-        """
-        return False
 
     def ladder_fail_message(self, dfg: DFG) -> str:
         """The error text of a ladder exhausted up to ``config.max_ii``."""
@@ -329,13 +295,6 @@ class EMSMapper:
         order = list(orders[0])
         self._perturb(order, rng)
         return order
-
-    def lattice_attempts_per_ii(self) -> int:
-        """Width of one II rung of the (II, attempt) lattice.  Backends
-        with extra per-rung probes (:class:`~repro.compiler.hier.
-        HierMapper`) override this; the portfolio engine sizes its rank
-        lattice from it instead of assuming ``config.attempts_per_ii``."""
-        return self.config.attempts_per_ii
 
     def run_lattice_attempt(
         self,
@@ -396,18 +355,11 @@ class EMSMapper:
 
     # -- one attempt -----------------------------------------------------------------
 
-    def _try_map(
-        self,
-        dfg: DFG,
-        ii: int,
-        order: list[int],
-        domains: dict[int, tuple[int, ...]] | None = None,
-    ) -> Mapping | None:
+    def _try_map(self, dfg: DFG, ii: int, order: list[int]) -> Mapping | None:
         asap = asap_times(dfg)
         horizon = max(asap.values(), default=0) + self.config.horizon_factor * ii
         st = _Attempt(ReservationTable(self.cgra, ii, self.bus_key))
         self._rank_targets = self._spread_targets(dfg, order)
-        self._op_domains = domains or {}
         for op_id in order:
             if not self._place_op(dfg, ii, st, op_id, asap, horizon):
                 return None
@@ -615,12 +567,9 @@ class EMSMapper:
         placer.
 
         The pool is pre-filtered by the op's capability mask (heterogeneous
-        fabrics only) and by an explicit per-op domain when the
-        hierarchical backend pinned the op to a page — illegality is ruled
-        out before enumeration instead of discovered per probe."""
+        fabrics only) — illegality is ruled out before enumeration instead
+        of discovered per probe."""
         pool: Sequence[int] = self._allowed_ids
-        if op_id is not None and self._op_domains:
-            pool = self._op_domains.get(op_id, pool)
         if cap_mask is not None:
             pool = [pid for pid in pool if cap_mask[pid]]
         target = self._rank_targets.get(op_id) if op_id is not None else None

@@ -146,23 +146,6 @@ def map_dfg_paged(
                 search=ctx,
                 search_log=search_log,
             )
-    if (config or MapperConfig()).backend == "hier":
-        # third backend: cluster-then-place (chain topology only); shares
-        # the flat ladder as its in-lattice fallback, so it can only match
-        # or beat the chain pass — see repro.compiler.hier.
-        from repro.compiler.hier import map_dfg_hier
-
-        return map_dfg_hier(
-            dfg,
-            cgra,
-            layout,
-            config=config,
-            min_ii=min_ii,
-            validate=validate,
-            minimize_pages=minimize_pages,
-            search=search,
-            search_log=search_log,
-        )
     best = _map_topologies(
         dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
         search, search_log,
@@ -251,18 +234,13 @@ def _map_topologies(
 def paged_mapper(
     cgra: CGRA, layout: PageLayout, config: MapperConfig | None
 ) -> EMSMapper:
-    """The flat ring-constrained mapper of *layout*: the §VI-B wiring
-    (covered PEs, ring hop filter, banked bus key, page-rank bias) shared
-    by the serial path, the portfolio's :class:`~repro.compiler.search.
-    MapperSpec` and the hierarchical backend."""
-    cls = EMSMapper
-    if config is not None and config.backend == "exact":
-        from repro.compiler.exact import ExactMapper
-
-        cls = ExactMapper
+    """The ring-constrained mapper of *layout*: the §VI-B wiring (covered
+    PEs, ring hop filter, banked bus key, page-rank bias) shared by the
+    serial path and the portfolio's :class:`~repro.compiler.search.
+    MapperSpec`."""
     allowed = [pe for pe in cgra.coords() if pe in layout.page_of]
     mem_slots = layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row
-    return cls(
+    return EMSMapper(
         cgra,
         allowed_pes=allowed,
         hop_allowed=ring_hop_filter(layout),

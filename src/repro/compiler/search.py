@@ -163,49 +163,21 @@ class MapperSpec:
             ),
         )
 
-    def build(self):
-        """Reconstruct the mapper (mirrors ``paged._map_once``'s wiring).
-
-        Returns an :class:`EMSMapper`, or a :class:`~repro.compiler.hier.
-        HierMapper` when the spec is paged and the config selects the
-        hierarchical backend — both speak the lattice-attempt protocol
-        (``lattice_attempts_per_ii`` / ``run_lattice_attempt``) the probe
-        runner drives.
-        """
+    def build(self) -> EMSMapper:
+        """Reconstruct the mapper: the baseline mapper on the whole array,
+        or the paged mapper of the spec's layout via
+        :func:`~repro.compiler.paged.paged_mapper`, the same wiring the
+        serial path uses."""
         cgra = self.build_cgra()
-        cls = EMSMapper
-        if self.config.backend == "exact":
-            # exact backend: flat ladder + SAT rung pruning.  Probe workers
-            # replay single lattice points, which ExactMapper inherits
-            # unchanged, so speculative probes never consult the solver.
-            from repro.compiler.exact import ExactMapper
-
-            cls = ExactMapper
         if self.page_shape is None:
-            return cls(cgra, config=self.config)
-        from repro.compiler.constraints import paged_bus_key, ring_hop_filter
+            return EMSMapper(cgra, config=self.config)
+        from repro.compiler.paged import paged_mapper
         from repro.core.paging import PageLayout
 
         layout = PageLayout(cgra, self.page_shape, allow_wrap=self.allow_wrap)
         if self.num_pages is not None and self.num_pages < layout.num_pages:
             layout = layout.subchain(self.num_pages)
-        if self.config.backend == "hier":
-            from repro.compiler.hier import HierMapper
-
-            return HierMapper(cgra, layout, self.config)
-        allowed = [pe for pe in cgra.coords() if pe in layout.page_of]
-        mem_slots = (
-            layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row
-        )
-        return cls(
-            cgra,
-            allowed_pes=allowed,
-            hop_allowed=ring_hop_filter(layout),
-            mem_slots_per_cycle=mem_slots,
-            bus_key=paged_bus_key(layout),
-            pe_rank=lambda pe: layout.page_of[pe],
-            config=self.config,
-        )
+        return paged_mapper(cgra, layout, self.config)
 
 
 @dataclass(frozen=True)
@@ -236,11 +208,11 @@ class ProbeResult:
 # routing context) and the base op orders once per ladder instead of once
 # per probe.  Keyed by (spec, dfg fingerprint); bounded, since a worker
 # serves many ladders over its lifetime.
-_CTX_CACHE: dict[tuple, tuple[object, list[list[int]]]] = {}
+_CTX_CACHE: dict[tuple, tuple[EMSMapper, list[list[int]]]] = {}
 _CTX_CACHE_MAX = 8
 
 
-def _probe_context(task: ProbeTask) -> tuple[object, list[list[int]]]:
+def _probe_context(task: ProbeTask) -> tuple[EMSMapper, list[list[int]]]:
     key = (task.spec, task.dfg_fp)
     hit = _CTX_CACHE.get(key)
     if hit is None:
@@ -304,7 +276,7 @@ class WorkerBudget:
 
 @dataclass
 class SearchContext:
-    """A live speculative-search backend: executor + shared budget.
+    """A live speculative-search engine: executor + shared budget.
 
     One context is shared by every ladder of a compile batch
     (:func:`repro.pipeline.compile.compile_many` creates one per call);
@@ -449,7 +421,7 @@ def portfolio_map(
     mapper = spec.build()
     start_ii = mapper.ladder_start_ii(dfg, min_ii=min_ii)
     cfg = spec.config
-    per_ii = mapper.lattice_attempts_per_ii()
+    per_ii = cfg.attempts_per_ii
     n_ranks = (cfg.max_ii - start_ii + 1) * per_ii
     skip_ranks = 0
     if resume_ii is not None and resume_ii > start_ii:

@@ -67,14 +67,7 @@ class MapperCounters:
     trial_commits: int = 0  #: tentative commit+rollback scoring passes
     target_cache_hits: int = 0  #: memoized per-(dst, hop-filter) goal tables reused
     move_cache_hits: int = 0  #: memoized per-(pe, hint) move orderings reused
-    hier_attempts: int = 0  #: hierarchical (cluster-then-place) probes run
-    hier_wins: int = 0  #: hierarchical probes that produced a mapping
-    hier_flat_attempts: int = 0  #: flat-ladder probes run inside the hier backend
-    hier_flat_wins: int = 0  #: flat fallback probes that produced a mapping
     rungs_skipped: int = 0  #: II rungs skipped as already proven failed (memoized)
-    rungs_pruned: int = 0  #: II rungs skipped by a feasibility certificate
-    exact_probes: int = 0  #: SAT-backend exact scheduling probes run
-    exact_wins: int = 0  #: exact probes that produced a mapping
 
     def snapshot(self) -> "MapperCounters":
         return MapperCounters(**asdict(self))

@@ -169,8 +169,7 @@ class PageLayout:
     def class_capable_count(self, n: int, cls_) -> int:
         """How many PEs of page *n* support op class *cls_*
         (:class:`~repro.arch.capability.OpClass`).  The whole page on a
-        homogeneous fabric; the hierarchical backend sizes per-page
-        cluster capacities (e.g. memory-op budgets) from this."""
+        homogeneous fabric."""
         self._check_page(n)
         mask = self.cgra.class_mask(cls_)
         if mask is None:

@@ -80,9 +80,7 @@ class CompileJob:
     preset` — e.g. ``"8x8-memcols"`` for the memory-capable-columns
     heterogeneous fabric); by default the job builds the homogeneous
     ``size`` x ``size`` grid, which is fingerprint-identical to the
-    ``"{size}x{size}"`` preset.  ``backend`` picks the paged mapping
-    strategy (``"flat"``, ``"hier"`` or ``"exact"``) when ``mapper`` is
-    not given.
+    ``"{size}x{size}"`` preset.
     """
 
     kernel: str
@@ -92,13 +90,10 @@ class CompileJob:
     seed: int = 0
     mapper: MapperConfig | None = None
     arch: str | None = None
-    backend: str = "flat"
 
     @property
     def mapper_config(self) -> MapperConfig:
-        return self.mapper or MapperConfig(
-            seed=self.seed, attempts_per_ii=4, backend=self.backend
-        )
+        return self.mapper or MapperConfig(seed=self.seed, attempts_per_ii=4)
 
     def build_cgra(self) -> CGRA:
         if self.arch is not None:
@@ -140,7 +135,6 @@ class CompileStats:
     counters: dict[str, int]
     search: dict | None = field(default=None)
     arch: str | None = field(default=None)
-    backend: str = "flat"
 
     def as_record(self) -> dict:
         rec = {
@@ -156,8 +150,6 @@ class CompileStats:
             rec["search"] = dict(self.search)
         if self.arch is not None:
             rec["arch"] = self.arch
-        if self.backend != "flat":
-            rec["backend"] = self.backend
         return rec
 
 
@@ -263,7 +255,6 @@ def compile_job_stats(
         counters=job_ctrs.as_dict(),
         search=_search_record(search_log) if search_log is not None else None,
         arch=job.arch,
-        backend=job.backend,
     )
     if paged is None:
         artifact = CompiledKernel(layout_wrap=False, unmappable=True, **common)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.arch.presets import PRESET_SIZES
 from repro.pipeline.compile import CompileJob
 
 __all__ = [
@@ -36,7 +37,10 @@ __all__ = [
 MAX_BODY_BYTES = 1 << 20
 
 _VALID_PREFER = ("square", "column", "row")
-_VALID_BACKENDS = ("flat", "hier", "exact")
+#: Servable grid sizes: the smallest grid with more than one page up to the
+#: largest preset.  Unbounded sizes would let one request make key
+#: resolution alone (DFG build + grid fingerprint) run for seconds.
+_MIN_SIZE, _MAX_SIZE = 2, max(PRESET_SIZES)
 
 
 class ProtocolError(ValueError):
@@ -59,7 +63,6 @@ class CompileRequest:
     prefer: str = "square"
     seed: int = 0
     arch: str | None = None
-    backend: str = "flat"
     tenant: str = "default"
     priority: int = 0
     request_id: str | None = None
@@ -87,22 +90,24 @@ class CompileRequest:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ProtocolError(f"'{name}' must be an integer")
                 out[name] = value
-        for name in ("prefer", "backend", "tenant", "arch", "request_id"):
+        for name in ("prefer", "tenant", "arch", "request_id"):
             if name in raw and raw[name] is not None:
                 value = raw[name]
                 if not isinstance(value, str):
                     raise ProtocolError(f"'{name}' must be a string")
                 out[name] = value
         req = cls(**out)
-        if req.size < 1 or req.page_size < 1:
-            raise ProtocolError("'size' and 'page_size' must be >= 1")
+        if not _MIN_SIZE <= req.size <= _MAX_SIZE:
+            raise ProtocolError(
+                f"'size' must be in {_MIN_SIZE}..{_MAX_SIZE}, got {req.size}"
+            )
+        if req.page_size < 1:
+            raise ProtocolError("'page_size' must be >= 1")
+        if req.seed < 0:
+            raise ProtocolError(f"'seed' must be >= 0, got {req.seed}")
         if req.prefer not in _VALID_PREFER:
             raise ProtocolError(
                 f"'prefer' must be one of {_VALID_PREFER}, got {req.prefer!r}"
-            )
-        if req.backend not in _VALID_BACKENDS:
-            raise ProtocolError(
-                f"'backend' must be one of {_VALID_BACKENDS}, got {req.backend!r}"
             )
         if not req.tenant:
             raise ProtocolError("'tenant' must be non-empty")
@@ -116,7 +121,6 @@ class CompileRequest:
             prefer=self.prefer,
             seed=self.seed,
             arch=self.arch,
-            backend=self.backend,
         )
 
 

@@ -1,17 +1,13 @@
-"""Heterogeneous PE capabilities, fabric presets, and the hierarchical
-two-level backend.
+"""Heterogeneous PE capabilities and fabric presets.
 
-Three invariants anchor this file:
+Two invariants anchor this file:
 
 * **byte stability** — homogeneous fabrics fingerprint and serialize
   exactly as before the capability model existed (pinned hashes), and
   recompilation on any preset is byte-deterministic;
 * **legality everywhere** — a capability restriction is enforced by the
   mapper, the validator, the lowering pass, and the bytes-only artifact
-  auditor (rule ``MAP-CAP``) independently;
-* **hier never loses** — the hierarchical backend reproduces the flat
-  ladder's II (its fallback rungs replay the flat ladder exactly) and is
-  deterministic at any worker count.
+  auditor (rule ``MAP-CAP``) independently.
 """
 
 from __future__ import annotations
@@ -189,20 +185,29 @@ def _compile_one(job: CompileJob, tmp_path, sub="store"):
     return artifact, store
 
 
+def _assert_mem_ops_on_mem_columns(size: int, tmp_path) -> None:
+    job = CompileJob("sor", size, 4, seed=0, arch=f"{size}x{size}-memcols")
+    artifact, _ = _compile_one(job, tmp_path)
+    assert not artifact.unmappable
+    assert artifact.capability is not None
+    dfg = get_kernel("sor").build()
+    mem_cols = set(mem_columns_for(size))
+    mem_placements = 0
+    for op_id, _r, c, _t in artifact.placements:
+        if op_id in dfg.ops and op_class(dfg.ops[op_id].opcode) is OpClass.MEM:
+            assert c in mem_cols, f"mem op{op_id} on non-mem column {c}"
+            mem_placements += 1
+    assert mem_placements > 0
+
+
 class TestCapabilityCompilation:
     def test_mem_ops_land_on_mem_columns(self, tmp_path):
-        job = CompileJob("sor", 4, 4, seed=0, arch="4x4-memcols")
-        artifact, _ = _compile_one(job, tmp_path)
-        assert not artifact.unmappable
-        assert artifact.capability is not None
-        dfg = get_kernel("sor").build()
-        mem_cols = set(mem_columns_for(4))
-        mem_placements = 0
-        for op_id, _r, c, _t in artifact.placements:
-            if op_id in dfg.ops and op_class(dfg.ops[op_id].opcode) is OpClass.MEM:
-                assert c in mem_cols, f"mem op{op_id} on non-mem column {c}"
-                mem_placements += 1
-        assert mem_placements > 0
+        _assert_mem_ops_on_mem_columns(4, tmp_path)
+
+    def test_mem_ops_land_on_mem_columns_8x8(self, tmp_path):
+        """The large heterogeneous fabric: the paged mapper keeps memory
+        ops on the 8x8 preset's memory-capable columns."""
+        _assert_mem_ops_on_mem_columns(8, tmp_path)
 
     def test_homogeneous_artifact_has_no_capability_key(self, tmp_path):
         artifact, _ = _compile_one(CompileJob("sor", 4, 4, seed=0), tmp_path)
@@ -317,65 +322,6 @@ class TestMapCapAudit:
         ids_found = {f.rule_id for f in report.findings}
         assert "MAP-CAP" in ids_found, ids_found
         assert not report.ok
-
-
-# -- hierarchical backend ------------------------------------------------------------
-
-
-HIER_KERNELS = ["sor", "compress", "gsr"]
-
-
-class TestHierBackend:
-    def test_hier_matches_flat_ii(self, tmp_path):
-        """The hier ladder's fallback rungs replay the flat ladder, so it
-        can never report a worse II than the flat backend."""
-        for kernel in HIER_KERNELS:
-            flat, _ = _compile_one(
-                CompileJob(kernel, 4, 4, seed=0), tmp_path, f"flat-{kernel}"
-            )
-            hier, _ = _compile_one(
-                CompileJob(kernel, 4, 4, seed=0, backend="hier"),
-                tmp_path,
-                f"hier-{kernel}",
-            )
-            assert hier.ii_paged == flat.ii_paged, kernel
-            assert hier.pages_used == flat.pages_used, kernel
-
-    def test_hier_is_deterministic(self, tmp_path):
-        job = CompileJob("compress", 4, 4, seed=0, backend="hier")
-        a, _ = _compile_one(job, tmp_path, "a")
-        b, _ = _compile_one(job, tmp_path, "b")
-        assert a.to_json() == b.to_json()
-
-    def test_hier_serial_equals_portfolio(self, tmp_path):
-        """Canonical reduction: the speculative parallel ladder returns
-        the serial ladder's bytes for the hier backend too."""
-        jobs = [CompileJob(k, 4, 4, seed=0, backend="hier") for k in HIER_KERNELS]
-        serial = ArtifactStore(tmp_path / "serial")
-        spec = ArtifactStore(tmp_path / "spec")
-        compile_many(jobs, store=serial, workers=1)
-        compile_many(jobs, store=spec, workers=2)
-        for job in jobs:
-            a = serial.path_for(job_key(job)).read_bytes()
-            b = spec.path_for(job_key(job)).read_bytes()
-            assert a == b, f"hier parity violation: {job.kernel}"
-
-    def test_hier_on_memcols_8x8(self, tmp_path):
-        """The acceptance fabric: hierarchical mapping on the 8x8
-        memory-capable-columns preset, capability-legal by construction."""
-        job = CompileJob("sor", 8, 4, seed=0, arch="8x8-memcols", backend="hier")
-        artifact, _ = _compile_one(job, tmp_path)
-        assert not artifact.unmappable
-        dfg = get_kernel("sor").build()
-        mem_cols = set(mem_columns_for(8))
-        for op_id, _r, c, _t in artifact.placements:
-            if op_id in dfg.ops and op_class(dfg.ops[op_id].opcode) is OpClass.MEM:
-                assert c in mem_cols
-
-    def test_hier_backend_distinct_mapper_fp(self):
-        flat = CompileJob("sor", 4, 4, seed=0)
-        hier = CompileJob("sor", 4, 4, seed=0, backend="hier")
-        assert job_key(flat).mapper_fp != job_key(hier).mapper_fp
 
 
 # -- fig8-style run on the scaled fabric ---------------------------------------------

@@ -44,19 +44,21 @@ class TestProtocol:
                 "page_size": 2,
                 "prefer": "column",
                 "seed": 3,
-                "backend": "hier",
                 "tenant": "alpha",
                 "priority": 5,
                 "request_id": "r-1",
             }
         )
         job = req.to_job()
-        assert job.kernel == "mpeg" and job.backend == "hier"
+        assert job.kernel == "mpeg" and job.size == 6 and job.page_size == 2
         assert job.prefer == "column" and job.seed == 3
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown request field"):
             CompileRequest.from_dict({"kernel": "sor", "kernal": "typo"})
+        # there is one mapper: naming any backend is an unknown field
+        with pytest.raises(ProtocolError, match="unknown request field.*backend"):
+            CompileRequest.from_dict({"kernel": "sor", "backend": "flat"})
 
     def test_missing_kernel_rejected(self):
         with pytest.raises(ProtocolError, match="kernel"):
@@ -73,6 +75,9 @@ class TestProtocol:
             {"backend": "quantum"},
             {"tenant": ""},
             {"request_id": 7},
+            {"seed": -1},
+            {"size": 1},
+            {"size": 17},
         ],
     )
     def test_bad_fields_rejected(self, patch):
@@ -411,6 +416,17 @@ class TestServeServer:
                     bad_method = await client.request("GET", "/compile")
                     unknown_kernel = await client.compile({"kernel": "nope"})
                     bad_field = await client.compile({"kernel": "sor", "oops": 1})
+                    # unservable parameters are refused before any key
+                    # resolution or scheduler slot, never a 500
+                    refused = [
+                        await client.compile({"kernel": "mpeg", **patch})
+                        for patch in (
+                            {"backend": "flat"},
+                            {"seed": -1},
+                            {"size": 1},
+                            {"size": 512},
+                        )
+                    ]
                     ping = await client.request(
                         "POST", "/rpc", {"jsonrpc": "2.0", "id": 1, "method": "ping"}
                     )
@@ -426,13 +442,15 @@ class TestServeServer:
                 bad_field,
                 ping,
                 bad_rpc,
+                refused,
             )
 
         import json
 
-        health, stats, missing, bad_method, unknown, bad_field, ping, bad_rpc = _run(
-            body()
-        )
+        (
+            health, stats, missing, bad_method, unknown, bad_field, ping, bad_rpc,
+            refused,
+        ) = _run(body())
         assert health[0] == 200 and json.loads(health[2]) == {"ok": True}
         assert stats[0] == 200 and "requests" in json.loads(stats[2])
         assert missing[0] == 404
@@ -440,6 +458,9 @@ class TestServeServer:
         assert unknown[0] == 404
         assert json.loads(unknown[2])["error"] == "WorkloadError"
         assert bad_field[0] == 400
+        for status, _headers, raw in refused:
+            assert status == 400, raw
+            assert json.loads(raw)["error"] == "ProtocolError"
         assert ping[0] == 200 and json.loads(ping[2])["result"] == "pong"
         assert json.loads(bad_rpc[2])["error"]["code"] == -32601
 
