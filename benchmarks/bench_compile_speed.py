@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.pipeline.compile import CompileJob, compile_job_stats
+from repro.pipeline.compile import CompileJob, compile_job
 
 # Kernels whose cold compiles are sub-second even on the slowest CI box;
 # sobel/fft are excluded on purpose (minutes-scale pre-optimisation).
@@ -26,7 +26,7 @@ FAST_KERNELS = ["mpeg", "sor", "gsr", "laplace", "wavelet", "swim"]
 def test_cold_compile_fast_suite(benchmark, page_size):
     def run():
         return [
-            compile_job_stats(CompileJob(kernel, 4, page_size))[1]
+            compile_job(CompileJob(kernel, 4, page_size))[1]
             for kernel in FAST_KERNELS
         ]
 

@@ -94,10 +94,7 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
     ),
     Contract(
         name="compile-job",
-        entrypoints=(
-            "repro.pipeline.compile.compile_job",
-            "repro.pipeline.compile.compile_job_stats",
-        ),
+        entrypoints=("repro.pipeline.compile.compile_job",),
         description="concurrent compile-thread jobs: artifact bytes must "
         "depend only on the job spec; stat totals merge through the locked "
         "job-counter context",

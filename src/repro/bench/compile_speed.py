@@ -25,7 +25,7 @@ from typing import Sequence
 
 from repro.bench.fig8 import page_sizes_for
 from repro.kernels import kernel_names
-from repro.pipeline.compile import CompileJob, CompileStats, compile_job_stats
+from repro.pipeline.compile import CompileJob, CompileStats, compile_job
 
 __all__ = [
     "run_compile_speed",
@@ -87,10 +87,10 @@ def run_compile_speed(
 
         with SearchContext.create(workers) as ctx:
             for job in jobs:
-                stats.append(compile_job_stats(job, search=ctx)[1])
+                stats.append(compile_job(job, search=ctx)[1])
     else:
         for job in jobs:
-            stats.append(compile_job_stats(job)[1])
+            stats.append(compile_job(job)[1])
     return stats
 
 

@@ -757,30 +757,23 @@ def map_dfg(
     *,
     config: MapperConfig | None = None,
     min_ii: int | None = None,
-    workers: int = 1,
     search=None,
     search_log=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
 
-    With ``workers > 1`` (or a live :class:`repro.compiler.search.
-    SearchContext` passed as *search*) the (II, attempt) ladder is raced
-    speculatively over a process pool; the result is byte-identical to the
-    serial path — ``workers=1`` takes the exact in-process ladder.
-    ``search_log`` collects per-ladder :class:`~repro.compiler.search.
-    LadderReport` records.
+    With a live :class:`repro.compiler.search.SearchContext` as *search*
+    the (II, attempt) ladder is raced speculatively over its process pool;
+    the result is byte-identical to the exact in-process ladder taken
+    without one.  ``search_log`` collects per-ladder
+    :class:`~repro.compiler.search.LadderReport` records.
     """
-    if search is not None or workers > 1:
-        from repro.compiler.search import MapperSpec, SearchContext, portfolio_map
+    if search is not None:
+        from repro.compiler.search import MapperSpec, portfolio_map
 
         spec = MapperSpec.for_base(cgra, config or MapperConfig())
-        ctx = search if search is not None else SearchContext.create(workers)
-        try:
-            return portfolio_map(
-                spec, dfg, cgra=cgra, min_ii=min_ii, ctx=ctx, log=search_log
-            )
-        finally:
-            if search is None:
-                ctx.close()
+        return portfolio_map(
+            spec, dfg, cgra=cgra, min_ii=min_ii, ctx=search, log=search_log
+        )
     return EMSMapper(cgra, config=config).map(dfg, min_ii=min_ii)

@@ -102,7 +102,6 @@ def map_dfg_paged(
     validate: bool = True,
     wrap_fallback: bool = True,
     minimize_pages: bool = True,
-    workers: int = 1,
     search=None,
     search_log=None,
 ) -> PagedMapping:
@@ -122,30 +121,14 @@ def map_dfg_paged(
     returned mapping's layout covers exactly :attr:`PagedMapping.pages_used`
     pages.
 
-    With ``workers > 1`` (or a live :class:`repro.compiler.search.
-    SearchContext` as *search*) every inner (II, attempt) ladder — chain
-    pass, ring fallback, page-minimisation passes — races speculative
-    probes over a process pool with canonical reduction; artifacts are
-    byte-identical to the serial path at any worker count.
+    With a live :class:`repro.compiler.search.SearchContext` as *search*
+    every inner (II, attempt) ladder — chain pass, ring fallback,
+    page-minimisation passes — races speculative probes over its process
+    pool with canonical reduction; artifacts are byte-identical to the
+    serial path at any worker count.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
-    if search is None and workers > 1:
-        from repro.compiler.search import SearchContext
-
-        with SearchContext.create(workers) as ctx:
-            return map_dfg_paged(
-                dfg,
-                cgra,
-                layout,
-                config=config,
-                min_ii=min_ii,
-                validate=validate,
-                wrap_fallback=wrap_fallback,
-                minimize_pages=minimize_pages,
-                search=ctx,
-                search_log=search_log,
-            )
     best = _map_topologies(
         dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
         search, search_log,

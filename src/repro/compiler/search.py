@@ -29,8 +29,10 @@ miss makes progress — misses fan out across jobs first) but only takes
 speculative extra slots opportunistically (so once most jobs are done,
 the idle slots drain into attempt probes of the stragglers).
 
-``workers=1`` never enters this module's engine: callers take the exact
-serial in-process path.
+Only dispatchers create a context: ``compile_many`` (one per call), the
+compile service (one warm pool for its lifetime) and the compile-speed
+bench.  The mappers take one as ``search=``; without it they run the
+exact serial in-process ladder and never enter this module's engine.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import EMSMapper, MapperConfig
@@ -279,10 +280,10 @@ class SearchContext:
     """A live speculative-search engine: executor + shared budget.
 
     One context is shared by every ladder of a compile batch
-    (:func:`repro.pipeline.compile.compile_many` creates one per call);
-    single mappings create an ephemeral one via :meth:`create`.  The
-    ``executor`` only needs ``submit``; tests inject thread pools or
-    deliberately reordered executors to exercise the reduction.
+    (:func:`repro.pipeline.compile.compile_many` creates one per call) or
+    of a compile service's lifetime.  The ``executor`` only needs
+    ``submit``; tests inject thread pools or deliberately reordered
+    executors to exercise the reduction.
     """
 
     workers: int
@@ -578,14 +579,3 @@ def _charge_waste(fut: Future) -> None:
     res = fut.result()
     merge_search_delta({"wasted_seconds": res.seconds})
     merge_counter_delta(res.counters)
-
-
-def lattice(
-    start_ii: int, max_ii: int, attempts_per_ii: int
-) -> Sequence[tuple[int, int]]:
-    """The canonical (ii, attempt) enumeration the serial ladder walks."""
-    return [
-        (ii, attempt)
-        for ii in range(start_ii, max_ii + 1)
-        for attempt in range(attempts_per_ii)
-    ]

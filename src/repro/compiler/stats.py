@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass
 
 __all__ = [
     "MapperCounters",
-    "PhaseTimes",
     "SearchStats",
     "COUNTERS",
     "SEARCH",
@@ -41,18 +40,6 @@ __all__ = [
     "merge_counter_delta",
     "merge_search_delta",
 ]
-
-
-@dataclass
-class PhaseTimes:
-    """Wall-clock seconds spent per compile phase (one compile_job)."""
-
-    base_map: float = 0.0
-    paged_map: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.base_map + self.paged_map
 
 
 @dataclass
@@ -77,10 +64,6 @@ class MapperCounters:
         now = asdict(self)
         then = asdict(since)
         return {k: now[k] - then[k] for k in now}
-
-    def reset(self) -> None:
-        for k in asdict(self):
-            setattr(self, k, 0)
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -136,10 +119,6 @@ class SearchStats:
         for k, v in delta.items():
             if hasattr(self, k):
                 setattr(self, k, getattr(self, k) + v)
-
-    def reset(self) -> None:
-        for k in asdict(self):
-            setattr(self, k, type(getattr(self, k))(0))
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)

@@ -15,8 +15,13 @@ compiled kernels:
 * **Store** — :class:`ArtifactStore` persists artifacts content-addressed
   by ``(dfg_fp, arch_fp, mapper_fp)`` with atomic writes, logged (never
   swallowed) corruption handling, and hit/miss/compile-time counters.
-* **Fan-out** — :func:`compile_many` compiles cache misses in parallel
-  over a process pool, byte-identical to the serial path.
+* **Dispatch** — :func:`compile_many` is the one batch driver: it probes
+  the store, compiles each distinct content address once (misses race
+  over one speculative probe pool at ``workers > 1``, byte-identical to
+  the serial path), and isolates per-job failures before re-raising the
+  first.  :func:`compile_job` is the one uncached single-job entry; it
+  returns the artifact with its
+  :class:`~repro.pipeline.compile.CompileStats`.
 
 Typical use::
 
@@ -28,13 +33,11 @@ Typical use::
 
 from repro.pipeline.artifact import ARTIFACT_VERSION, ArtifactKey, CompiledKernel
 from repro.pipeline.compile import (
-    CompileFailure,
     CompileJob,
     build_profiles,
     compile_job,
     compile_kernel,
     compile_many,
-    compile_many_outcomes,
     job_key,
     make_layout,
 )
@@ -46,13 +49,11 @@ __all__ = [
     "CompiledKernel",
     "ArtifactStore",
     "STORE_DIRNAME",
-    "CompileFailure",
     "CompileJob",
     "job_key",
     "compile_job",
     "compile_kernel",
     "compile_many",
-    "compile_many_outcomes",
     "build_profiles",
     "make_layout",
 ]

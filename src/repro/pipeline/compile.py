@@ -42,14 +42,11 @@ from repro.util.fingerprint import canonical_fingerprint
 __all__ = [
     "CompileJob",
     "CompileStats",
-    "CompileFailure",
     "MAX_COORDINATION_THREADS",
     "job_key",
     "compile_job",
-    "compile_job_stats",
     "compile_kernel",
     "compile_many",
-    "compile_many_outcomes",
     "build_profiles",
     "make_layout",
 ]
@@ -74,7 +71,8 @@ class CompileJob:
 
     ``mapper`` overrides the mapper tuning; by default the experiments'
     standard configuration (seeded, 4 attempts per II) is derived from
-    ``seed``.  Jobs are hashable (dedup) and picklable (process fan-out).
+    ``seed``.  Jobs are hashable and picklable; batches dedup them on their
+    content address (:func:`job_key`), not on equality.
 
     ``arch`` selects a named fabric preset (:func:`repro.arch.presets.
     preset` — e.g. ``"8x8-memcols"`` for the memory-capable-columns
@@ -165,19 +163,6 @@ def job_key(job: CompileJob) -> ArtifactKey:
     return ArtifactKey(dfg.fingerprint(), arch_fp, job.mapper_config.fingerprint())
 
 
-def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, float]:
-    """Compile one job, uncached.  Returns (artifact, mapper seconds).
-
-    Top-level (picklable) so callers can run it in worker processes;
-    deterministic for a fixed job, so parallel and serial runs produce
-    byte-identical artifacts.  *search* is an optional live
-    :class:`~repro.compiler.search.SearchContext` — when set, the mapping
-    ladders race speculative probes over its shared worker pool.
-    """
-    artifact, stats = compile_job_stats(job, search=search)
-    return artifact, stats.seconds
-
-
 def _search_record(log) -> dict:
     """Compress a job's ladder reports into the ``CompileStats.search``
     record: probe totals, speculation efficiency, per-ladder timelines."""
@@ -196,11 +181,16 @@ def _search_record(log) -> dict:
     }
 
 
-def compile_job_stats(
-    job: CompileJob, search=None
-) -> tuple[CompiledKernel, CompileStats]:
-    """Compile one job, uncached, with per-phase timings and the mapper's
-    search-effort counter deltas (the ``compile-speed`` bench's input).
+def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, CompileStats]:
+    """Compile one job, uncached.  Returns the artifact and its
+    :class:`CompileStats` (per-phase timings and the mapper's
+    search-effort counter deltas).
+
+    Top-level (picklable) and deterministic for a fixed job, so parallel
+    and serial runs produce byte-identical artifacts.  *search* is an
+    optional live :class:`~repro.compiler.search.SearchContext` — when
+    set, the mapping ladders race speculative probes over its shared
+    worker pool.
 
     The compile runs inside a per-job counter context
     (:func:`repro.compiler.stats.job_counters`): the mapper's increments
@@ -293,33 +283,6 @@ def compile_job_stats(
     return artifact, stats
 
 
-@dataclass(frozen=True)
-class CompileFailure:
-    """Structured per-job failure from :func:`compile_many_outcomes`.
-
-    One failing job no longer aborts a whole batch: the outcome list
-    carries a ``CompileFailure`` in that job's slot (error class name plus
-    message) while every other job still compiles, is stored, and is
-    returned — which is what lets a multi-tenant service answer each
-    coalesced waiter with *its* request's error instead of failing all of
-    them on a sibling's exception.
-    """
-
-    job: CompileJob
-    error: str
-    message: str
-    #: The original exception, for in-process callers that re-raise; not
-    #: part of equality and never serialized (services ship error/message).
-    cause: Exception | None = field(default=None, compare=False, repr=False)
-
-    def raise_(self) -> None:
-        """Re-raise the original exception (a :class:`MappingError` when
-        the failure crossed a serialization boundary and lost it)."""
-        if self.cause is not None:
-            raise self.cause
-        raise MappingError(f"{self.job.kernel}: {self.error}: {self.message}")
-
-
 def _coordination_threads(n_pending: int, workers: int) -> int:
     """Thread count for the per-miss coordination fan-out: one per miss,
     bounded by :data:`MAX_COORDINATION_THREADS` (but never fewer than the
@@ -327,53 +290,48 @@ def _coordination_threads(n_pending: int, workers: int) -> int:
     return min(n_pending, max(workers, MAX_COORDINATION_THREADS))
 
 
-def _job_outcome(job: CompileJob, search=None):
-    """Compile one job, capturing any exception as a structured failure."""
-    try:
-        return compile_job(job, search=search)
-    except Exception as exc:  # noqa: BLE001 - isolated per-job, reported upstream
-        return CompileFailure(
-            job=job, error=type(exc).__name__, message=str(exc), cause=exc
-        )
-
-
-def compile_many_outcomes(
+def compile_many(
     jobs: Iterable[CompileJob],
     *,
     store: ArtifactStore | None = None,
     workers: int = 1,
-) -> list[CompiledKernel | CompileFailure]:
-    """Compile *jobs*, returning one outcome per job in input order.
+) -> list[CompiledKernel]:
+    """Compile *jobs*, returning artifacts in input order.
 
-    Like :func:`compile_many`, but per-job failures are isolated: a job
-    whose compile raises yields a :class:`CompileFailure` in its slot
-    instead of aborting the batch, and every other job's artifact is still
-    compiled, stored, and returned.  Successful outcomes are
-    byte-identical to a batch with the failing jobs removed.
+    Warm jobs are served from *store* without touching the mapper; jobs
+    with the same content address (:func:`job_key` digest) are compiled
+    once.  With ``workers > 1`` the misses run concurrently through the
+    speculative portfolio engine: one shared pool of *workers* probe
+    processes serves every miss's (II, attempt) ladder, under a shared
+    budget so kernel-level and attempt-level parallelism never
+    oversubscribe — each miss holds at least one probe slot, and idle
+    slots drain into speculative probes of the stragglers.  Results are
+    byte-identical to the serial path, only wall-clock changes.
+
+    Failures are isolated per job: a job that fails (at key time or in
+    the mapper) does not stop its siblings, which still compile and are
+    stored; then the first failure in input order is re-raised.
     """
     jobs = list(jobs)
-    resolved: dict[CompileJob, CompiledKernel | CompileFailure] = {}
-    pending: list[CompileJob] = []
+    # each slot's digest, or the exception its key resolution raised
+    slots: list[str | BaseException] = []
+    done: dict[str, CompiledKernel | BaseException] = {}
+    pending: dict[str, CompileJob] = {}
     for job in jobs:
-        if job in resolved or job in pending:
+        # key computation builds the DFG and the fabric, so a bad job
+        # (unknown kernel, preset/size mismatch) fails here
+        try:
+            key = job_key(job)
+            if key.digest not in done and key.digest not in pending:
+                hit = store.get(key) if store is not None else None
+                if hit is None:
+                    pending[key.digest] = job
+                else:
+                    done[key.digest] = hit
+        except Exception as exc:  # noqa: BLE001 - reported per job
+            slots.append(exc)
             continue
-        if store is not None:
-            # key computation builds the DFG and the fabric, so a bad job
-            # (unknown kernel, preset/size mismatch) fails here — isolate
-            # it like any other per-job failure instead of aborting the batch
-            try:
-                hit = store.get(job_key(job))
-            except Exception as exc:  # noqa: BLE001 - reported per job
-                resolved[job] = CompileFailure(
-                    job=job, error=type(exc).__name__, message=str(exc), cause=exc
-                )
-                continue
-        else:
-            hit = None
-        if hit is not None:
-            resolved[job] = hit
-        else:
-            pending.append(job)
+        slots.append(key.digest)
     if pending:
         if workers > 1:
             from repro.compiler.search import SearchContext
@@ -385,49 +343,30 @@ def compile_many_outcomes(
                 # misses beyond the cap queue in input order.
                 n_threads = _coordination_threads(len(pending), workers)
                 with ThreadPoolExecutor(max_workers=n_threads) as tp:
-                    compiled = list(
-                        tp.map(lambda j: _job_outcome(j, search=ctx), pending)
-                    )
+                    futures = [
+                        tp.submit(compile_job, job, search=ctx)
+                        for job in pending.values()
+                    ]
+            outcomes = [fut.exception() or fut.result() for fut in futures]
         else:
-            compiled = [_job_outcome(job) for job in pending]
-        for job, outcome in zip(pending, compiled):
-            if isinstance(outcome, CompileFailure):
-                resolved[job] = outcome
-                continue
-            artifact, seconds = outcome
-            resolved[job] = artifact
-            if store is not None:
-                store.note_compile_time(seconds)
-                store.put(artifact)
-    return [resolved[job] for job in jobs]
-
-
-def compile_many(
-    jobs: Iterable[CompileJob],
-    *,
-    store: ArtifactStore | None = None,
-    workers: int = 1,
-) -> list[CompiledKernel]:
-    """Compile *jobs*, returning artifacts in input order.
-
-    Warm jobs are served from *store* without touching the mapper;
-    duplicate jobs are compiled once.  With ``workers > 1`` the misses run
-    concurrently through the speculative portfolio engine: one shared pool
-    of *workers* probe processes serves every miss's (II, attempt) ladder,
-    under a shared budget so kernel-level and attempt-level parallelism
-    never oversubscribe — each miss holds at least one probe slot, and
-    idle slots drain into speculative probes of the stragglers.  Results
-    are byte-identical to the serial path, only wall-clock changes.
-
-    A failing job raises (the first failure in input order) after the
-    rest of the batch has compiled and been stored; callers that need
-    per-job errors use :func:`compile_many_outcomes`.
-    """
-    outcomes = compile_many_outcomes(jobs, store=store, workers=workers)
-    for outcome in outcomes:
-        if isinstance(outcome, CompileFailure):
-            outcome.raise_()
-    return outcomes
+            outcomes = []
+            for job in pending.values():
+                try:
+                    outcomes.append(compile_job(job))
+                except Exception as exc:  # noqa: BLE001 - reported per job
+                    outcomes.append(exc)
+        for digest, outcome in zip(pending, outcomes):
+            if not isinstance(outcome, BaseException):
+                outcome, stats = outcome
+                if store is not None:
+                    store.note_compile_time(stats.seconds)
+                    store.put(outcome)
+            done[digest] = outcome
+    results = [done[slot] if isinstance(slot, str) else slot for slot in slots]
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def compile_kernel(

@@ -3,7 +3,7 @@
 The paper's premise is many applications dynamically sharing one CGRA
 under a PageMaster; this package is the system analogue — many tenants
 dynamically sharing one *compiler*.  A long-running asyncio service
-accepts (kernel, arch preset, mapper config) requests over HTTP/JSON-RPC,
+accepts (kernel, arch preset, mapper config) requests over HTTP,
 resolves each to its content address
 (:func:`repro.pipeline.compile.job_key`), and serves the artifact bytes:
 

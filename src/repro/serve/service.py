@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.compiler.search import CancelledSearch, SearchContext
 from repro.pipeline.artifact import ArtifactKey
@@ -65,22 +65,16 @@ class ServiceConfig:
 
 
 @dataclass
-class _FlightOutcome:
-    """What a resolved flight publishes to its waiters."""
-
-    digest: str
-    source: str | None = None  # "hit" | "compiled"
-    body: bytes | None = None
-    seconds: float = 0.0
-    error: str | None = None
-    message: str | None = None
-
-
-@dataclass
 class _ActiveRequest:
     flight: Flight
     waiter: asyncio.Future
     cancelled: bool = field(default=False)
+
+
+def _flight_result(key: ArtifactKey, **fields) -> ServeResult:
+    """What a resolved flight publishes: one :class:`ServeResult` whose
+    ``request_id`` each waiter replaces with its own."""
+    return ServeResult(request_id="", digest=key.digest, **fields)
 
 
 class CompileService:
@@ -192,13 +186,13 @@ class CompileService:
         flight.future.add_done_callback(_on_flight_done)
         self._active[rid] = _ActiveRequest(flight=flight, waiter=waiter)
         try:
-            outcome: _FlightOutcome | None = await waiter
+            published: ServeResult | None = await waiter
         finally:
             active = self._active.pop(rid)
             # single detach per request: cancel() only resolves the waiter,
             # the flight refcount is always settled here
             self.flights.leave(flight)
-        if active.cancelled or outcome is None:
+        if active.cancelled or published is None:
             self.cancelled += 1
             return ServeResult(
                 request_id=rid,
@@ -206,25 +200,15 @@ class CompileService:
                 error="RequestCancelled",
                 message="request was cancelled",
             )
-        if outcome.body is None:
+        if not published.ok:
             self.errors += 1
-            return ServeResult(
-                request_id=rid,
-                digest=key.digest,
-                source=outcome.source,
-                seconds=outcome.seconds,
-                error=outcome.error,
-                message=outcome.message,
-            )
-        source = outcome.source if leader else "coalesced"
-        if outcome.source == "hit" and leader:
+            return replace(published, request_id=rid)
+        if published.source == "hit" and leader:
             self.hits += 1
-        return ServeResult(
+        return replace(
+            published,
             request_id=rid,
-            digest=key.digest,
-            source=source,
-            body=outcome.body,
-            seconds=outcome.seconds,
+            source=published.source if leader else "coalesced",
         )
 
     async def cancel(self, request_id: str) -> bool:
@@ -244,7 +228,7 @@ class CompileService:
         self, flight: Flight, job: CompileJob, key: ArtifactKey, request: CompileRequest
     ) -> None:
         """Schedule the flight's store-check-then-compile and publish its
-        outcome to every waiter."""
+        result to every waiter (each stamps its own request id)."""
         sched = self.scheduler.submit(
             self._make_work(job, key),
             tenant=request.tenant,
@@ -254,22 +238,14 @@ class CompileService:
 
         async def _lead() -> None:
             try:
-                outcome = await sched.future
+                result = await sched.future
             except (RequestCancelled, CancelledSearch) as exc:
-                outcome = _FlightOutcome(
-                    digest=key.digest, error="RequestCancelled", message=str(exc)
-                )
-            except ReproError as exc:
-                outcome = _FlightOutcome(
-                    digest=key.digest, error=type(exc).__name__, message=str(exc)
-                )
+                result = _flight_result(key, error="RequestCancelled", message=str(exc))
             except Exception as exc:  # noqa: BLE001 - structured per-request error
-                outcome = _FlightOutcome(
-                    digest=key.digest, error=type(exc).__name__, message=str(exc)
-                )
-            if outcome.source == "compiled":
+                result = _flight_result(key, error=type(exc).__name__, message=str(exc))
+            if result.source == "compiled":
                 self.compiles += 1
-            self.flights.resolve(flight, outcome)
+            self.flights.resolve(flight, result)
 
         task = asyncio.get_running_loop().create_task(_lead())
         self._leader_tasks[flight.digest] = task
@@ -280,7 +256,7 @@ class CompileService:
     def _make_work(self, job: CompileJob, key: ArtifactKey):
         loop = asyncio.get_running_loop()
 
-        async def work(token: CancelToken) -> _FlightOutcome:
+        async def work(token: CancelToken) -> ServeResult:
             return await loop.run_in_executor(
                 self._pool, self._compile_blocking, job, key, token
             )
@@ -289,14 +265,14 @@ class CompileService:
 
     def _compile_blocking(
         self, job: CompileJob, key: ArtifactKey, token: CancelToken
-    ) -> _FlightOutcome:
+    ) -> ServeResult:
         """The worker-thread body: store probe, then (on a miss) one
         mapper invocation with the warm search pool; served bytes are read
         back from the store file for byte parity with offline compiles."""
         hit = self.store.get(key)
         if hit is not None:
-            return _FlightOutcome(
-                digest=key.digest,
+            return _flight_result(
+                key,
                 source="hit",
                 body=self.store.path_for(key).read_bytes(),
             )
@@ -308,16 +284,16 @@ class CompileService:
             else None
         )
         started = time.perf_counter()
-        artifact, seconds = compile_job(job, search=search)
-        self.store.note_compile_time(seconds)
+        artifact, stats = compile_job(job, search=search)
+        self.store.note_compile_time(stats.seconds)
         path = self.store.put(artifact)
         body = (
             path.read_bytes()
             if path is not None
             else artifact.to_json().encode("utf-8")
         )
-        return _FlightOutcome(
-            digest=key.digest,
+        return _flight_result(
+            key,
             source="compiled",
             body=body,
             seconds=time.perf_counter() - started,

@@ -475,10 +475,9 @@ def test_flow_baseline_is_clean_over_repro_tree():
     # the concurrency surface the pass certifies is actually in view
     entries = {e for r in report.roots for e in r.entries}
     assert "repro.compiler.search.run_probe" in entries
-    # compile_many's thread fan-out maps the fault-isolating wrapper, so
-    # that is the root the pass sees; compile_job stays certified through
-    # it (and through its own contract)
-    assert "repro.pipeline.compile._job_outcome" in entries
+    # compile_many's thread fan-out submits compile_job itself, so that is
+    # the root the pass sees (and certifies against its own contract)
+    assert "repro.pipeline.compile.compile_job" in entries
 
 
 def test_default_contracts_cover_live_entrypoints():

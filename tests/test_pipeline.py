@@ -233,26 +233,35 @@ class TestParallelFanout:
 
     def test_speculative_compile_records_search_stats(self):
         from repro.compiler.search import SearchContext
-        from repro.pipeline.compile import compile_job_stats
 
         job = CompileJob("sor", 4, 4)
-        _, serial_stats = compile_job_stats(job)
+        serial_artifact, serial_stats = compile_job(job)
         assert serial_stats.search is None
         with SearchContext.create(2) as ctx:
-            artifact, stats = compile_job_stats(job, search=ctx)
+            artifact, stats = compile_job(job, search=ctx)
         assert stats.search is not None
         assert stats.search["ladders"] >= 1
         assert stats.search["probes_launched"] >= 1
         assert stats.search["speculation_efficiency"] <= 1.0
         assert "search" in stats.as_record()
         # and the speculative artifact matches the serial one byte for byte
-        serial_artifact, _ = compile_job(job)
         assert artifact.to_json() == serial_artifact.to_json()
 
-    def test_duplicate_jobs_compiled_once(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            CompileJob("sor", 4, 4),
+            CompileJob("sor", 4, 4, arch="4x4"),
+            CompileJob("sor", 4, 4, mapper=MapperConfig(seed=0, attempts_per_ii=4)),
+        ],
+        ids=["plain", "arch", "mapper"],
+    )
+    def test_duplicate_jobs_compiled_once(self, tmp_path, spelling):
+        # dedup is on the content address, not on CompileJob equality
+        jobs = [CompileJob("sor", 4, 4), spelling, spelling]
+        assert len({job_key(job).digest for job in jobs}) == 1
         store = ArtifactStore(tmp_path / "store")
-        job = CompileJob("sor", 4, 4)
-        out = compile_many([job, job, job], store=store)
+        out = compile_many(jobs, store=store)
         assert len(out) == 3
         assert out[0] == out[1] == out[2]
         assert store.misses == 1 and store.puts == 1
@@ -344,7 +353,6 @@ class TestStoreConcurrency:
 
 class TestBatchOutcomes:
     def test_failures_isolated_per_job(self, tmp_path):
-        from repro.pipeline import CompileFailure, compile_many_outcomes
         from repro.util.errors import WorkloadError
 
         store = ArtifactStore(tmp_path / "store")
@@ -353,21 +361,43 @@ class TestBatchOutcomes:
             CompileJob("no-such-kernel", 4, 2),
             CompileJob("mpeg", 4, 2),
         ]
-        outcomes = compile_many_outcomes(jobs, store=store)
-        assert isinstance(outcomes[0], CompiledKernel)
-        assert isinstance(outcomes[2], CompiledKernel)
-        failure = outcomes[1]
-        assert isinstance(failure, CompileFailure)
-        assert failure.error == "WorkloadError"
-        # the siblings still compiled and were stored
-        assert store.puts == 2
-        # compile_many surfaces the same batch as the first original error
+        # the batch surfaces the failing job's original error...
         with pytest.raises(WorkloadError):
-            compile_many(jobs, store=ArtifactStore(tmp_path / "raise"))
+            compile_many(jobs, store=store)
+        # ...only after its siblings still compiled and were stored
+        assert store.puts == 2
         # and the good jobs' artifacts are byte-identical to a clean batch
         clean = compile_many([jobs[0], jobs[2]])
-        assert outcomes[0].to_json() == clean[0].to_json()
-        assert outcomes[2].to_json() == clean[1].to_json()
+        for job, artifact in zip((jobs[0], jobs[2]), clean):
+            assert store.get(job_key(job)).to_json() == artifact.to_json()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mapper_failure_isolated_per_job(self, tmp_path, monkeypatch, workers):
+        """A job that fails in the mapper (not at key time) does not stop
+        its siblings either; the first failure in input order is raised."""
+        import repro.pipeline.compile as pc
+        from repro.util.errors import MappingError
+
+        real = pc.compile_job
+
+        def flaky(job, search=None):
+            if job.kernel == "sor":
+                raise MappingError(f"injected: {job.kernel}")
+            return real(job, search=search)
+
+        monkeypatch.setattr(pc, "compile_job", flaky)
+        store = ArtifactStore(tmp_path / "store")
+        jobs = [
+            CompileJob("mpeg", 4, 2),
+            CompileJob("sor", 4, 2),
+            CompileJob("no-such-kernel", 4, 2),
+            CompileJob("wavelet", 4, 2),
+        ]
+        with pytest.raises(MappingError, match="injected: sor"):
+            compile_many(jobs, store=store, workers=workers)
+        assert store.puts == 2
+        for job in (jobs[0], jobs[3]):
+            assert store.get(job_key(job)) is not None
 
     def test_coordination_threads_bounded(self):
         from repro.pipeline.compile import (

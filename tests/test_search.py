@@ -34,7 +34,6 @@ from repro.compiler.search import (
     ProbeTask,
     SearchContext,
     WorkerBudget,
-    lattice,
     portfolio_map,
     run_probe,
 )
@@ -45,26 +44,6 @@ from repro.util.rng import make_rng
 
 def _sor():
     return get_kernel("sor").build()
-
-
-# ------------------------------------------------------------------ the lattice
-
-
-class TestLattice:
-    def test_enumeration_is_lexicographic(self):
-        pts = lattice(3, 5, 2)
-        assert pts == [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 1)]
-        assert pts == sorted(pts)
-
-    def test_matches_serial_loop(self):
-        cfg = MapperConfig()
-        pts = lattice(4, cfg.max_ii, cfg.attempts_per_ii)
-        serial = [
-            (ii, attempt)
-            for ii in range(4, cfg.max_ii + 1)
-            for attempt in range(cfg.attempts_per_ii)
-        ]
-        assert pts == serial
 
 
 # ------------------------------------------------------------------- rng replay
@@ -430,7 +409,8 @@ class TestRealPoolParity:
         dfg = _sor()
         cgra = CGRA(4, 4)
         serial = map_dfg(dfg, cgra)
-        parallel = map_dfg(dfg, cgra, workers=2)
+        with SearchContext.create(2) as ctx:
+            parallel = map_dfg(dfg, cgra, search=ctx)
         assert parallel.ii == serial.ii
         assert parallel.placements == serial.placements
         assert parallel.routes == serial.routes

@@ -427,11 +427,13 @@ class TestServeServer:
                             {"size": 512},
                         )
                     ]
-                    ping = await client.request(
+                    # a JSON body that is not an object is malformed, not a 500
+                    bad_cancels = [
+                        await client.request("POST", "/cancel", raw)
+                        for raw in ([1], "x")
+                    ]
+                    rpc = await client.request(
                         "POST", "/rpc", {"jsonrpc": "2.0", "id": 1, "method": "ping"}
-                    )
-                    bad_rpc = await client.request(
-                        "POST", "/rpc", {"jsonrpc": "2.0", "id": 2, "method": "nope"}
                     )
             return (
                 health,
@@ -440,16 +442,16 @@ class TestServeServer:
                 bad_method,
                 unknown_kernel,
                 bad_field,
-                ping,
-                bad_rpc,
                 refused,
+                bad_cancels,
+                rpc,
             )
 
         import json
 
         (
-            health, stats, missing, bad_method, unknown, bad_field, ping, bad_rpc,
-            refused,
+            health, stats, missing, bad_method, unknown, bad_field, refused,
+            bad_cancels, rpc,
         ) = _run(body())
         assert health[0] == 200 and json.loads(health[2]) == {"ok": True}
         assert stats[0] == 200 and "requests" in json.loads(stats[2])
@@ -458,35 +460,7 @@ class TestServeServer:
         assert unknown[0] == 404
         assert json.loads(unknown[2])["error"] == "WorkloadError"
         assert bad_field[0] == 400
-        for status, _headers, raw in refused:
+        for status, _headers, raw in refused + bad_cancels:
             assert status == 400, raw
             assert json.loads(raw)["error"] == "ProtocolError"
-        assert ping[0] == 200 and json.loads(ping[2])["result"] == "pong"
-        assert json.loads(bad_rpc[2])["error"]["code"] == -32601
-
-    def test_rpc_compile_returns_artifact(self, tmp_path):
-        async def body():
-            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
-            async with ServeServer(config) as server:
-                async with ServeClient(server.host, server.port) as client:
-                    status, _headers, body_bytes = await client.request(
-                        "POST",
-                        "/rpc",
-                        {
-                            "jsonrpc": "2.0",
-                            "id": 9,
-                            "method": "compile",
-                            "params": {"kernel": "sor", "page_size": 2},
-                        },
-                    )
-            return status, body_bytes
-
-        import json
-
-        status, body_bytes = _run(body())
-        assert status == 200
-        envelope = json.loads(body_bytes)
-        assert envelope["id"] == 9
-        artifact = envelope["result"]["artifact"]
-        assert artifact["kernel"] == "sor"
-        assert envelope["result"]["digest"] == job_key(CompileJob("sor", 4, 2)).digest
+        assert rpc[0] == 404  # no second transport: an unknown route
