@@ -7,14 +7,16 @@ Every paper artifact has a named experiment that regenerates it::
     python -m repro.bench fig9_8x8 --page-size 4
     python -m repro.bench headline
     python -m repro.bench all --workers 8
-    python -m repro.bench compile-speed --kernels mpeg,wavelet --dry-run
+    python -m repro.bench compile-speed --kernels mpeg,wavelet
     python -m repro.bench sim-oracle --configs 60
-    python -m repro.bench serve --requests 80 --clients 8
+    python -m repro.bench policies --smoke
+    python -m repro.bench serve
 
 All compilation goes through :mod:`repro.pipeline`; ``--workers N`` fans a
 cold cache out over N processes, and after each experiment the CLI reports
 the artifact cache's hit/miss counters — a warm run shows zero misses,
-i.e. zero mapper invocations.
+i.e. zero mapper invocations.  No experiment writes a ledger file:
+timed, repeated measurements live in the benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -96,6 +98,17 @@ EXPERIMENTS: dict[str, Callable] = {
     "headline": _headline,
 }
 
+#: Every name ``list`` prints: the figure experiments plus the commands
+#: that bypass the artifact-store loop of :func:`main`.
+COMMANDS = (
+    *EXPERIMENTS,
+    "compile-speed",
+    "analysis",
+    "sim-oracle",
+    "policies",
+    "serve",
+)
+
 
 def run_experiment(name: str, store: ArtifactStore | None = None, argv=()) -> str:
     """Run one named experiment and return its report text."""
@@ -108,24 +121,11 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
     )
-    p.add_argument(
-        "experiment",
-        choices=[
-            *EXPERIMENTS,
-            "compile-speed",
-            "analysis",
-            "sim-oracle",
-            "policies",
-            "serve",
-            "all",
-            "list",
-        ],
-    )
+    p.add_argument("experiment", choices=[*COMMANDS, "all", "list"])
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="policies/serve: tiny oracle-verified CI variant (no "
-        "bench-file update)",
+        help="policies: tiny oracle-verified CI variant",
     )
     p.add_argument("--page-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -149,24 +149,12 @@ def _parser() -> argparse.ArgumentParser:
         "overrides --size)",
     )
     p.add_argument(
-        "--label",
-        default="current",
-        help="entry label recorded in the bench file (compile-speed)",
-    )
-    p.add_argument(
-        "--out", default=None, help="bench JSON path (compile-speed)"
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the report without updating the bench file (compile-speed)",
-    )
-    p.add_argument(
         "--workers",
         type=int,
         default=1,
         help="processes compiling cache misses in parallel (results are "
-        "identical to --workers 1; only wall-clock changes)",
+        "identical to --workers 1; only wall-clock changes; compile-speed "
+        "is serial only)",
     )
     p.add_argument(
         "--json", default=None, help="also write the series as JSON records"
@@ -177,42 +165,14 @@ def _parser() -> argparse.ArgumentParser:
         default=60,
         help="workload configurations to verify (sim-oracle)",
     )
-    p.add_argument(
-        "--requests",
-        type=int,
-        default=80,
-        help="load-generator request count (serve)",
-    )
-    p.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="concurrent keep-alive client connections (serve)",
-    )
-    p.add_argument(
-        "--slots",
-        type=int,
-        default=2,
-        help="concurrent compile slots in the service (serve)",
-    )
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
-        print(
-            "\n".join(
-                [
-                    *EXPERIMENTS,
-                    "compile-speed",
-                    "analysis",
-                    "sim-oracle",
-                    "policies",
-                    "serve",
-                ]
-            )
-        )
+        print("\n".join(COMMANDS))
         return 0
     if args.experiment == "analysis":
         # Lint + audit over the default tree/store; same exit-code
@@ -221,12 +181,12 @@ def main(argv: list[str] | None = None) -> int:
 
         return analysis_main(["all", "--strict"])
     if args.experiment == "policies":
-        # Policy tournament + engine-scale bench: pure simulation.
+        # Policy tournament: pure simulation.
         from repro.bench.policies import main as policies_main
 
         return policies_main(args)
     if args.experiment == "serve":
-        # Compile-as-a-service load bench: own ephemeral server + store.
+        # Compile-service check: own ephemeral server + store.
         from repro.bench.serve import main as serve_main
 
         return serve_main(args)
@@ -239,7 +199,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.ok else 1
     if args.experiment == "compile-speed":
         # Deliberately cache-free (it measures the mapper, not the store),
-        # so it bypasses the ArtifactStore loop below.
+        # so it bypasses the ArtifactStore loop below; serial, so its
+        # search counters are deterministic.
+        if args.workers > 1:
+            parser.error("compile-speed runs serially; drop --workers")
         from repro.bench.compile_speed import main as compile_speed_main
 
         return compile_speed_main(args)

@@ -1,31 +1,23 @@
-"""Policy tournament + simulation-scale bench.
+"""Policy tournament.
 
 ``python -m repro.bench policies`` races every allocation policy across a
 lattice of trace-driven workload series (steady Poisson, bursty, diurnal
 — :func:`repro.sim.workload.generate_trace`) and prints a leaderboard.
 Ranking uses only simulated quantities (per-series makespan normalised to
 the series winner, geomeaned across series), so the order is
-deterministic for a seed; wall-clock goes into the JSON for trend
-tracking but never into the ranking.
-
-The same command re-measures the engine-scale configurations (a
-saturated 1k-thread config and a 10k-thread trace) and appends a
-labelled entry to ``BENCH_sim_scale.json`` at the repository root.  The
-file's first entry is the pre-vectorization baseline, so the speedup
-column is the trajectory of the event-engine optimisation work.
+deterministic for a seed.  The command writes no file; the event
+engine's timed measurement is the benchmark's ``sim-10k-trace`` workload
+(``perfbench/``).
 
 ``--smoke`` is the CI variant: small thread counts, two policies, and
 every run replayed through the cycle-quantum oracle
 (:func:`repro.sim.oracle.verify_system`) instead of trusting the fast
-engine — the scale measurement and the bench file are skipped.
+engine.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from pathlib import Path
 
 from repro.core.policies import (
     BestFitPolicy,
@@ -38,7 +30,7 @@ from repro.core.policies import (
 from repro.sim.fuzz import FUZZ_PROFILES, _NOMINAL_II
 from repro.sim.oracle import verify_system
 from repro.sim.system import SystemConfig, simulate_system
-from repro.sim.workload import ThreadSpec, generate_trace, generate_workload
+from repro.sim.workload import ThreadSpec, generate_trace
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -46,13 +38,9 @@ __all__ = [
     "tournament_policies",
     "run_tournament",
     "leaderboard",
-    "run_scale",
     "render_report",
-    "update_bench_file",
     "main",
 ]
-
-DEFAULT_OUT = "BENCH_sim_scale.json"
 
 #: Workload series of the tournament: one per arrival model the trace
 #: generator supports (beyond all-at-once, which the paper's own
@@ -103,7 +91,7 @@ def _series_workload(name: str, *, n_threads: int, seed: int):
     )
 
 
-def _metrics(result, wall: float) -> dict:
+def _metrics(result) -> dict:
     return {
         "makespan": result.makespan,
         "avg_turnaround": round(result.avg_turnaround, 3),
@@ -114,7 +102,6 @@ def _metrics(result, wall: float) -> dict:
         "reallocations": result.reallocations,
         "evictions": result.evictions,
         "eviction_churn": round(result.eviction_churn, 4),
-        "wall_seconds": round(wall, 3),
     }
 
 
@@ -147,12 +134,11 @@ def run_tournament(
                 policy=policy,
                 validate_decisions=verify,
             )
-            t0 = time.perf_counter()
             if verify:
                 result, _ = verify_system(workload, config, "multithreaded")
             else:
                 result = simulate_system(workload, config, "multithreaded")
-            rows[pname] = _metrics(result, time.perf_counter() - t0)
+            rows[pname] = _metrics(result)
         out[sname] = rows
     return out
 
@@ -188,162 +174,10 @@ def leaderboard(results: dict[str, dict[str, dict]]) -> list[dict]:
     return board
 
 
-# -- engine-scale measurement ------------------------------------------------------
-
-
-def _scale_workloads(seed: int) -> dict[str, tuple[list[ThreadSpec], SystemConfig]]:
-    """The two fixed scale configurations tracked in the bench file.
-
-    ``1k-saturated`` is tuned to the *old* engine's worst case (every
-    thread queued at t=0, many short kernel phases): its per-decision
-    resident rebuild and admission re-probes scale with the waiting-thread
-    count, which is what the vectorized engine removed.  ``10k-trace`` is
-    the headline datacenter config: 10,000 trace-driven threads with
-    bursty arrivals and priority classes.
-    """
-    saturated = generate_workload(
-        1_000,
-        0.75,
-        ["fast"],
-        _NOMINAL_II,
-        seed=derive_seed(seed, "scale", "1k"),
-        mean_total_work=400,
-        phases_per_thread=40,
-        mean_arrival_gap=0,
-    )
-    trace = generate_trace(
-        10_000,
-        0.75,
-        _KERNELS,
-        _NOMINAL_II,
-        seed=derive_seed(seed, "scale", "10k"),
-        arrival_model="bursty",
-        mean_arrival_gap=20.0,
-        burst_size=16,
-        mean_total_work=2_000,
-    )
-    return {
-        "1k-saturated": (
-            saturated,
-            SystemConfig(
-                n_pages=2,
-                profiles=FUZZ_PROFILES,
-                policy=HalvingPolicy(),
-                validate_decisions=False,
-            ),
-        ),
-        "10k-trace": (
-            trace,
-            SystemConfig(
-                n_pages=16,
-                profiles=FUZZ_PROFILES,
-                policy=HalvingPolicy(),
-                validate_decisions=False,
-            ),
-        ),
-    }
-
-
-def run_scale(*, seed: int = 0, repeats: int = 3) -> dict[str, dict]:
-    """Time the fixed scale configurations (min of *repeats*) and return
-    per-config records with the simulated outcome for parity tracking."""
-    out: dict[str, dict] = {}
-    for name, (workload, config) in _scale_workloads(seed).items():
-        best = None
-        result = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = simulate_system(workload, config, "multithreaded")
-            dt = time.perf_counter() - t0
-            best = dt if best is None or dt < best else best
-        out[name] = {
-            "seconds": round(best, 3),
-            "n_threads": len(workload),
-            "makespan": result.makespan,
-            "reallocations": result.reallocations,
-        }
-    return out
-
-
-# -- bench file + reporting --------------------------------------------------------
-
-
-def update_bench_file(
-    scale: dict[str, dict],
-    tournament: dict[str, dict[str, dict]],
-    board: list[dict],
-    *,
-    label: str,
-    seed: int,
-    path: str | Path = DEFAULT_OUT,
-) -> dict:
-    """Append a labelled entry to the sim-scale bench file (created on
-    first use) and refresh the tournament section with the latest run."""
-    path = Path(path)
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {
-            "bench": "sim_scale",
-            "description": (
-                "Event-engine scale trajectory (fixed 1k saturated and "
-                "10k trace configs, min-of-N wall clock; entries "
-                "accumulate across PRs, first entry is the "
-                "pre-vectorization baseline) plus the latest seeded "
-                "policy tournament."
-            ),
-            "entries": [],
-        }
-    data["entries"].append(
-        {
-            "label": label,
-            # repro: allow[DET-WALL-CLOCK] run date annotates the perf log for humans; artifacts are addressed by content
-            "date": time.strftime("%Y-%m-%d"),
-            "seed": seed,
-            "configs": scale,
-        }
-    )
-    data["tournament"] = {
-        "seed": seed,
-        "ranked_by": "geomean makespan vs series winner",
-        "leaderboard": board,
-        "series": tournament,
-    }
-    path.write_text(json.dumps(data, indent=1) + "\n")
-    return data
-
-
-def _speedups(data: dict) -> dict[str, float]:
-    entries = data.get("entries", [])
-    if len(entries) < 2:
-        return {}
-    first, last = entries[0]["configs"], entries[-1]["configs"]
-    return {
-        name: first[name]["seconds"] / max(last[name]["seconds"], 1e-9)
-        for name in last
-        if name in first
-    }
-
-
 def render_report(
-    scale: dict[str, dict] | None,
-    tournament: dict[str, dict[str, dict]],
-    board: list[dict],
-    data: dict | None = None,
+    tournament: dict[str, dict[str, dict]], board: list[dict]
 ) -> str:
-    lines = []
-    if scale:
-        lines.append("engine scale (min wall clock):")
-        for name, rec in scale.items():
-            lines.append(
-                f"  {name:<14} {rec['seconds']:>8.3f}s   "
-                f"{rec['n_threads']} threads, makespan {rec['makespan']:.0f}, "
-                f"{rec['reallocations']} reallocations"
-            )
-        if data is not None:
-            for name, s in _speedups(data).items():
-                lines.append(f"  {name:<14} {s:>7.1f}x vs first recorded entry")
-    lines.append("policy tournament (score = geomean makespan vs winner):")
+    lines = ["policy tournament (score = geomean makespan vs winner):"]
     lines.append(
         f"  {'rank':<5}{'policy':<15}{'score':>8}{'worst p99 turnaround':>24}"
     )
@@ -365,32 +199,18 @@ def render_report(
 
 def main(args) -> int:
     """CLI entry, dispatched from :mod:`repro.bench.experiments`."""
-    seed = args.seed
     if args.smoke:
         # CI path: tiny threads, two contenders, every run oracle-checked
         tournament = run_tournament(
             n_threads=24,
             n_pages=8,
-            seed=seed,
+            seed=args.seed,
             policies=["halving", "best-fit"],
             verify=True,
         )
-        board = leaderboard(tournament)
-        print(render_report(None, tournament, board))
+    else:
+        tournament = run_tournament(seed=args.seed)
+    print(render_report(tournament, leaderboard(tournament)))
+    if args.smoke:
         print("smoke: all runs oracle-verified")
-        return 0
-    tournament = run_tournament(seed=seed)
-    board = leaderboard(tournament)
-    scale = run_scale(seed=seed)
-    data = None
-    if not args.dry_run:
-        data = update_bench_file(
-            scale,
-            tournament,
-            board,
-            label=args.label,
-            seed=seed,
-            path=args.out or DEFAULT_OUT,
-        )
-    print(render_report(scale, tournament, board, data))
     return 0

@@ -1,34 +1,31 @@
-"""Serve bench: load-generate against the compile service, measure SLOs.
+"""Serve check: load-generate against the compile service, assert its
+invariants.
 
 ``python -m repro.bench serve`` starts an in-process
 :class:`~repro.serve.server.ServeServer` on an ephemeral localhost port
 with a fresh temporary artifact store (every run is cold — the coalesce
 and hit rates measure the serving layer, not a pre-warmed disk), fires a
-seeded Zipf-skewed request schedule at it from concurrent keep-alive
-connections, and reports:
+seeded, duplication-heavy request schedule over two distinct jobs at it
+from concurrent keep-alive connections, and reports:
 
 * throughput (requests/s) and request latency p50/p99/mean/max;
 * the **coalesce rate** (duplicate concurrent requests that rode a
   sibling's in-flight compile) and **cache hit rate**;
 * the server-side singleflight/scheduler/store counters.
 
-Every run also proves two properties the service is built around: the
-number of mapper invocations equals the number of *distinct* jobs (N
-identical concurrent requests → one compile), and every served payload is
-byte-identical to the offline :func:`~repro.pipeline.compile.compile_many`
-output for the same job.  ``--smoke`` is the CI variant: tiny schedule,
-hard assertions, no bench-file update.
-
-Results append to the ``BENCH_serve.json`` trajectory at the repo root,
-one labelled entry per run, mirroring ``BENCH_compile_speed.json``.
+It then asserts the properties the service is built around: no request
+fails, the number of mapper invocations equals the number of *distinct*
+jobs (N identical concurrent requests → one compile), at least one
+request coalesced, and every served payload is byte-identical to the
+offline :func:`~repro.pipeline.compile.compile_many` output for the same
+job.  It writes no file; the service's timed measurement is the
+benchmark's ``serve-mixed`` workload (``perfbench/``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import tempfile
-import time
 from pathlib import Path
 
 from repro.pipeline.compile import CompileJob, compile_many, job_key
@@ -37,38 +34,21 @@ from repro.serve.loadgen import LoadReport, build_schedule, run_load
 from repro.serve.server import ServeServer
 from repro.serve.service import ServiceConfig
 
-__all__ = [
-    "DEFAULT_OUT",
-    "default_jobs",
-    "run_serve_bench",
-    "verify_parity",
-    "render_report",
-    "update_bench_file",
-    "main",
+__all__ = ["JOBS", "run_serve_bench", "verify_parity", "render_report", "main"]
+
+#: The distinct-job universe: two fast suite kernels on the 4x4 grid; the
+#: duplication-heavy schedule is drawn from these.
+JOBS = [
+    {"kernel": kernel, "size": 4, "page_size": 2, "seed": 0}
+    for kernel in ("mpeg", "sor")
 ]
-
-DEFAULT_OUT = "BENCH_serve.json"
-
-#: Default tenant mix: three tenants, one with double weight, so the
-#: weighted round-robin actually has something to arbitrate.
-DEFAULT_TENANTS = ("alpha", "beta", "gamma")
-DEFAULT_WEIGHTS = {"alpha": 2}
-
-
-def default_jobs(
-    kernels: tuple[str, ...] = ("mpeg", "sor", "compress", "gsr"),
-    page_sizes: tuple[int, ...] = (2, 4),
-    *,
-    size: int = 4,
-    seed: int = 0,
-) -> list[dict]:
-    """The bench's distinct-job universe: fast suite kernels on the 4x4
-    grid (the duplication-heavy schedule is drawn from these)."""
-    return [
-        {"kernel": kernel, "size": size, "page_size": ps, "seed": seed}
-        for kernel in kernels
-        for ps in page_sizes
-    ]
+N_REQUESTS = 16
+CLIENTS = 6
+SLOTS = 2
+#: Three tenants, one with double weight, so the weighted round-robin
+#: actually has something to arbitrate.
+TENANTS = ("alpha", "beta", "gamma")
+WEIGHTS = {"alpha": 2}
 
 
 def _job_of(payload: dict) -> CompileJob:
@@ -106,64 +86,36 @@ def verify_parity(report: LoadReport, jobs: list[dict]) -> int:
     return compared
 
 
-async def _bench_async(
-    *,
-    jobs: list[dict],
-    n_requests: int,
-    clients: int,
-    workers: int,
-    slots: int,
-    seed: int,
-) -> tuple[LoadReport, dict]:
+async def _bench_async(*, workers: int, seed: int) -> tuple[LoadReport, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         config = ServiceConfig(
             store_root=tmp,
             workers=workers,
-            slots=slots,
-            tenant_weights=dict(DEFAULT_WEIGHTS),
+            slots=SLOTS,
+            tenant_weights=dict(WEIGHTS),
         )
         async with ServeServer(config) as server:
             schedule = build_schedule(
-                jobs,
-                n_requests=n_requests,
-                tenants=list(DEFAULT_TENANTS),
-                seed=seed,
+                JOBS, n_requests=N_REQUESTS, tenants=list(TENANTS), seed=seed
             )
             report = await run_load(
-                server.host, server.port, schedule, clients=clients
+                server.host, server.port, schedule, clients=CLIENTS
             )
             stats = server.service.stats()
     return report, stats
 
 
-def run_serve_bench(
-    *,
-    jobs: list[dict] | None = None,
-    n_requests: int = 80,
-    clients: int = 8,
-    workers: int = 2,
-    slots: int = 2,
-    seed: int = 0,
-) -> tuple[LoadReport, dict]:
-    """One cold serve-bench run; returns (client report, server stats)."""
-    jobs = jobs if jobs is not None else default_jobs()
-    return asyncio.run(
-        _bench_async(
-            jobs=jobs,
-            n_requests=n_requests,
-            clients=clients,
-            workers=workers,
-            slots=slots,
-            seed=seed,
-        )
-    )
+def run_serve_bench(*, workers: int = 2, seed: int = 0) -> tuple[LoadReport, dict]:
+    """One cold run over :data:`JOBS`; returns (client report, server
+    stats)."""
+    return asyncio.run(_bench_async(workers=workers, seed=seed))
 
 
 def render_report(report: LoadReport, stats: dict, parity: int) -> str:
     rec = report.as_record()
     lat = rec["latency_ms"]
     lines = [
-        f"serve bench: {rec['requests']} requests, {rec['ok']} ok, "
+        f"serve: {rec['requests']} requests, {rec['ok']} ok, "
         f"{rec['errors']} error(s) in {rec['elapsed_seconds']:.2f}s "
         f"({rec['throughput_rps']:.1f} req/s)",
         f"latency ms: p50 {lat['p50']:.1f}  p99 {lat['p99']:.1f}  "
@@ -179,91 +131,20 @@ def render_report(report: LoadReport, stats: dict, parity: int) -> str:
     return "\n".join(lines)
 
 
-def _entry(
-    report: LoadReport, stats: dict, parity: int, *, label: str, seed: int, args
-) -> dict:
-    rec = report.as_record()
-    return {
-        "label": label,
-        # repro: allow[DET-WALL-CLOCK] run date annotates the perf log for humans; artifacts are addressed by content
-        "date": time.strftime("%Y-%m-%d"),
-        "seed": seed,
-        "workers": args.workers,
-        "slots": args.slots,
-        "clients": args.clients,
-        "requests": rec["requests"],
-        "throughput_rps": rec["throughput_rps"],
-        "latency_ms": rec["latency_ms"],
-        "coalesce_rate": stats["coalesce_rate"],
-        "cache_hit_rate": stats["cache_hit_rate"],
-        "compiles": stats["compiles"],
-        "coalesced": stats["coalesced"],
-        "hits": stats["hits"],
-        "errors": rec["errors"],
-        "parity_artifacts": parity,
-    }
-
-
-def update_bench_file(path: Path, entry: dict) -> dict:
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {"bench": "serve", "entries": []}
-    data["entries"] = [e for e in data["entries"] if e["label"] != entry["label"]]
-    data["entries"].append(entry)
-    path.write_text(json.dumps(data, indent=1, sort_keys=False) + "\n")
-    return data
-
-
 def main(args) -> int:
     """``python -m repro.bench serve`` body (argparse namespace)."""
-    workers = getattr(args, "workers", 1) or 1
-    if args.smoke:
-        # CI variant: two distinct jobs, duplication-heavy schedule, hard
-        # assertions on coalescing, single-compile dedup and byte parity.
-        jobs = default_jobs(kernels=("mpeg", "sor"), page_sizes=(2,))
-        report, stats = run_serve_bench(
-            jobs=jobs,
-            n_requests=16,
-            clients=6,
-            workers=max(2, workers),
-            slots=args.slots,
-            seed=args.seed,
-        )
-        parity = verify_parity(report, jobs)
-        print(render_report(report, stats, parity))
-        assert report.errors == 0, f"{report.errors} request(s) failed"
-        assert stats["compiles"] == len(jobs), (
-            f"expected exactly {len(jobs)} mapper invocations "
-            f"(one per distinct job), got {stats['compiles']}"
-        )
-        assert stats["coalesced"] > 0, "no concurrent duplicates coalesced"
-        assert parity == len(jobs), "not every distinct job verified byte parity"
-        print(
-            f"[smoke] ok: {stats['compiles']} compiles served "
-            f"{report.requests} requests, {stats['coalesced']} coalesced, "
-            f"{parity} byte-identical"
-        )
-        return 0
-    report, stats = run_serve_bench(
-        n_requests=args.requests,
-        clients=args.clients,
-        workers=workers,
-        slots=args.slots,
-        seed=args.seed,
-    )
-    parity = verify_parity(report, default_jobs())
+    report, stats = run_serve_bench(workers=max(2, args.workers), seed=args.seed)
+    parity = verify_parity(report, JOBS)
     print(render_report(report, stats, parity))
-    if report.errors:
-        print(f"[fail] {report.errors} request(s) errored")
-        return 1
-    out = Path(args.out or DEFAULT_OUT)
-    if args.dry_run:
-        print(f"[dry-run] not updating {out}")
-        return 0
-    entry = _entry(
-        report, stats, parity, label=args.label, seed=args.seed, args=args
+    assert report.errors == 0, f"{report.errors} request(s) failed"
+    assert stats["compiles"] == len(JOBS), (
+        f"expected exactly {len(JOBS)} mapper invocations "
+        f"(one per distinct job), got {stats['compiles']}"
     )
-    update_bench_file(out, entry)
-    print(f"[write] {out}: entry '{args.label}'")
+    assert stats["coalesced"] > 0, "no concurrent duplicates coalesced"
+    assert parity == len(JOBS), "not every distinct job verified byte parity"
+    print(
+        f"ok: {stats['compiles']} compiles served {report.requests} "
+        f"requests, {stats['coalesced']} coalesced, {parity} byte-identical"
+    )
     return 0

@@ -23,7 +23,6 @@ from repro.compiler.ems import EMSMapper, MapperConfig, map_dfg
 from repro.compiler.paged import PagedMapping, map_dfg_paged
 from repro.compiler.annealing import anneal_map
 from repro.compiler.search import (
-    LadderReport,
     MapperSpec,
     SearchContext,
     WorkerBudget,
@@ -43,7 +42,6 @@ __all__ = [
     "PagedMapping",
     "map_dfg_paged",
     "anneal_map",
-    "LadderReport",
     "MapperSpec",
     "SearchContext",
     "WorkerBudget",

@@ -44,7 +44,7 @@ from repro.compiler.routing import (
     find_route_shared_ids,
     release_route,
 )
-from repro.compiler.stats import counters, search_stats
+from repro.compiler.stats import counters
 from repro.dfg.analysis import alap_times, asap_times, rec_mii
 from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
@@ -192,7 +192,6 @@ class EMSMapper:
         produce.
         """
         start_ii = self.ladder_start_ii(dfg, min_ii=min_ii)
-        search_stats().serial_ladders += 1
         rng = make_rng(self.config.seed)
         orders = self.attempt_orders(dfg)
         for ii in range(start_ii, self.config.max_ii + 1):
@@ -517,7 +516,6 @@ class EMSMapper:
         Cost = route slots consumed + congestion of this PE's 1-hop
         neighbourhood at the next cycle (the value's escape room).
         """
-        counters().trial_commits += 1
         if not self._commit_candidate(
             dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges
         ):
@@ -758,7 +756,6 @@ def map_dfg(
     config: MapperConfig | None = None,
     min_ii: int | None = None,
     search=None,
-    search_log=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
@@ -766,14 +763,11 @@ def map_dfg(
     With a live :class:`repro.compiler.search.SearchContext` as *search*
     the (II, attempt) ladder is raced speculatively over its process pool;
     the result is byte-identical to the exact in-process ladder taken
-    without one.  ``search_log`` collects per-ladder
-    :class:`~repro.compiler.search.LadderReport` records.
+    without one.
     """
     if search is not None:
         from repro.compiler.search import MapperSpec, portfolio_map
 
         spec = MapperSpec.for_base(cgra, config or MapperConfig())
-        return portfolio_map(
-            spec, dfg, cgra=cgra, min_ii=min_ii, ctx=search, log=search_log
-        )
+        return portfolio_map(spec, dfg, cgra=cgra, min_ii=min_ii, ctx=search)
     return EMSMapper(cgra, config=config).map(dfg, min_ii=min_ii)

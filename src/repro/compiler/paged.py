@@ -99,11 +99,8 @@ def map_dfg_paged(
     *,
     config: MapperConfig | None = None,
     min_ii: int | None = None,
-    validate: bool = True,
-    wrap_fallback: bool = True,
     minimize_pages: bool = True,
     search=None,
-    search_log=None,
 ) -> PagedMapping:
     """Map *dfg* onto the paged CGRA under the §VI-B constraints.
 
@@ -111,8 +108,10 @@ def map_dfg_paged(
     wrap link — a legal subset per §VI-B — which makes the optimal grouped
     fold available for every divisor page count).  If that fails and the
     layout's wrap pair is physically adjacent, it retries with the full
-    ring (``wrap_fallback``); the resulting mapping may then only be shrunk
-    with the zigzag transformation.
+    ring; the resulting mapping may then only be shrunk with the zigzag
+    transformation.  Every mapping is checked by
+    :func:`~repro.compiler.check.validate_mapping` against the ring
+    constraints before it is returned.
 
     With ``minimize_pages`` (the default) the compiler then re-maps the
     kernel onto the smallest page *prefix* that preserves the achieved II —
@@ -129,10 +128,7 @@ def map_dfg_paged(
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
-    best = _map_topologies(
-        dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
-        search, search_log,
-    )
+    best = _map_topologies(dfg, cgra, layout, config, min_ii, search)
     if not minimize_pages or best.layout.num_pages <= 1:
         return best
     base_cfg = config or MapperConfig()
@@ -149,8 +145,7 @@ def map_dfg_paged(
         try:
             sub = layout.subchain(k)
             candidate = _map_once(
-                dfg, cgra, sub, tight, min_ii, validate, full_layout=layout,
-                search=search, search_log=search_log,
+                dfg, cgra, sub, tight, min_ii, full_layout=layout, search=search
             )
         except MappingError:
             continue
@@ -165,14 +160,9 @@ def _map_topologies(
     layout: PageLayout,
     config,
     min_ii,
-    validate,
-    wrap_fallback,
     search=None,
-    search_log=None,
 ) -> PagedMapping:
-    can_fall_back = (
-        wrap_fallback and not layout.allow_wrap and layout.ring_wrap_adjacent
-    )
+    can_fall_back = not layout.allow_wrap and layout.ring_wrap_adjacent
     first_config = config
     if can_fall_back:
         # bound the chain pass so a hard kernel falls back to the full ring
@@ -186,10 +176,7 @@ def _map_topologies(
         )
         first_config = replace(base, max_ii=min(base.max_ii, 3 * floor_ii + 6))
     try:
-        return _map_once(
-            dfg, cgra, layout, first_config, min_ii, validate,
-            search=search, search_log=search_log,
-        )
+        return _map_once(dfg, cgra, layout, first_config, min_ii, search=search)
     except MappingError as chain_exc:
         if not can_fall_back:
             raise
@@ -201,15 +188,11 @@ def _map_topologies(
         probed = getattr(chain_exc, "ladder_probed", None)
         ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
         try:
-            return _map_once(
-                dfg, cgra, ring_layout, config, min_ii, validate,
-                search=search, search_log=search_log,
-            )
+            return _map_once(dfg, cgra, ring_layout, config, min_ii, search=search)
         except MappingError:
             # last resort: the chain again, unbounded II
             return _map_once(
-                dfg, cgra, layout, config, min_ii, validate,
-                search=search, search_log=search_log,
+                dfg, cgra, layout, config, min_ii, search=search,
                 resume_ii=probed[1] + 1 if probed is not None else None,
             )
 
@@ -240,10 +223,8 @@ def _map_once(
     layout: PageLayout,
     config,
     min_ii,
-    validate,
     full_layout: PageLayout | None = None,
     search=None,
-    search_log=None,
     resume_ii=None,
 ) -> PagedMapping:
     hop = ring_hop_filter(layout)
@@ -254,18 +235,17 @@ def _map_once(
         spec = MapperSpec.for_paged(cgra, layout, config or MapperConfig())
         mapping = portfolio_map(
             spec, dfg, cgra=cgra, min_ii=min_ii, resume_ii=resume_ii,
-            ctx=search, log=search_log,
+            ctx=search,
         )
     else:
         mapping = paged_mapper(cgra, layout, config).map(
             dfg, min_ii=min_ii, resume_ii=resume_ii
         )
-    if validate:
-        validate_mapping(
-            mapping,
-            allowed_pes=allowed,
-            hop_allowed=hop,
-            bus_key=paged_bus_key(layout),
-        )
+    validate_mapping(
+        mapping,
+        allowed_pes=allowed,
+        hop_allowed=hop,
+        bus_key=paged_bus_key(layout),
+    )
     schedule = extract_page_schedule(mapping, layout)
     return PagedMapping(mapping, layout, schedule, full_layout)

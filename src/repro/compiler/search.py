@@ -29,10 +29,12 @@ miss makes progress — misses fan out across jobs first) but only takes
 speculative extra slots opportunistically (so once most jobs are done,
 the idle slots drain into attempt probes of the stragglers).
 
-Only dispatchers create a context: ``compile_many`` (one per call), the
-compile service (one warm pool for its lifetime) and the compile-speed
-bench.  The mappers take one as ``search=``; without it they run the
-exact serial in-process ladder and never enter this module's engine.
+Only dispatchers create a context: ``compile_many`` (one per call) and
+the compile service (one warm pool for its lifetime).  The mappers take
+one as ``search=``; without it they run the exact serial in-process
+ladder and never enter this module's engine.  What the engine did — probes
+launched, cancelled and wasted, useful vs wasted probe seconds — is
+counted in the active :class:`~repro.compiler.stats.SearchStats` scope.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import EMSMapper, MapperConfig
@@ -61,7 +63,6 @@ __all__ = [
     "WorkerBudget",
     "SearchContext",
     "CancelledSearch",
-    "LadderReport",
     "portfolio_map",
     "run_probe",
 ]
@@ -344,56 +345,6 @@ def _warm(x: int = 0) -> int:  # pragma: no cover - trivial
     return x
 
 
-@dataclass
-class LadderReport:
-    """Per-ladder outcome record: the (II, attempt) timeline of one search.
-
-    ``timeline`` holds one ``[ii, attempt, outcome, seconds]`` row per
-    probe in canonical order; outcomes are ``success``/``fail`` (completed
-    verdicts), ``cancelled`` (never started), ``wasted`` (completed above
-    the winner) and ``abandoned`` (still running when the ladder
-    concluded).  ``per_ii`` compresses that into one row per II rung.
-    """
-
-    start_ii: int
-    attempts_per_ii: int
-    winner: tuple[int, int] | None = None
-    probes_launched: int = 0
-    probes_cancelled: int = 0
-    probes_wasted: int = 0
-    useful_seconds: float = 0.0
-    wasted_seconds: float = 0.0
-    timeline: list[list] = field(default_factory=list)
-
-    def per_ii(self) -> list[list]:
-        """``[ii, launched, failed, cancelled, won_attempt|-1]`` per rung."""
-        rows: dict[int, list] = {}
-        for ii, attempt, outcome, _seconds in self.timeline:
-            row = rows.setdefault(ii, [ii, 0, 0, 0, -1])
-            row[1] += 1
-            if outcome == "fail":
-                row[2] += 1
-            elif outcome == "cancelled":
-                row[3] += 1
-            elif outcome == "success" and (
-                self.winner is not None and (ii, attempt) == self.winner
-            ):
-                row[4] = attempt
-        return [rows[ii] for ii in sorted(rows)]
-
-    def as_record(self) -> dict:
-        return {
-            "start_ii": self.start_ii,
-            "winner": list(self.winner) if self.winner else None,
-            "probes_launched": self.probes_launched,
-            "probes_cancelled": self.probes_cancelled,
-            "probes_wasted": self.probes_wasted,
-            "useful_seconds": round(self.useful_seconds, 4),
-            "wasted_seconds": round(self.wasted_seconds, 4),
-            "per_ii": self.per_ii(),
-        }
-
-
 def portfolio_map(
     spec: MapperSpec,
     dfg,
@@ -402,7 +353,6 @@ def portfolio_map(
     min_ii: int | None = None,
     resume_ii: int | None = None,
     ctx: SearchContext,
-    log: list[LadderReport] | None = None,
 ) -> Mapping:
     """Race the (II, attempt) lattice and reduce canonically.
 
@@ -410,7 +360,7 @@ def portfolio_map(
     lowest-(ii, attempt) success, or :class:`MappingError` when every
     rung up to ``config.max_ii`` fails.  ``cgra`` rebinds the winning
     mapping (produced against a worker-side CGRA copy) to the caller's
-    instance.  ``log`` collects this ladder's :class:`LadderReport`.
+    instance.
 
     *resume_ii* carries the same ladder-memoization contract as
     :meth:`~repro.compiler.ems.EMSMapper.map`: rungs below it were
@@ -428,7 +378,6 @@ def portfolio_map(
     if resume_ii is not None and resume_ii > start_ii:
         skip_ranks = min(n_ranks, (resume_ii - start_ii) * per_ii)
     dfg_fp = dfg.fingerprint()
-    report = LadderReport(start_ii=start_ii, attempts_per_ii=per_ii)
     # this thread's active stats scope: the enclosing job's context when the
     # ladder runs under compile_many, else the process-wide totals
     stats = search_stats()
@@ -444,29 +393,17 @@ def portfolio_map(
             attempt=rank % per_ii,
         )
 
-    def point(rank: int) -> tuple[int, int]:
-        return (start_ii + rank // per_ii, rank % per_ii)
-
     inflight: dict[Future, int] = {}
-    outcome: dict[int, str] = {}  # rank -> success|fail|cancelled|skipped
-    seconds: dict[int, float] = {}
+    # ranks with a verdict: skipped, completed or cancelled
+    resolved: set[int] = set(range(skip_ranks))
     mappings: dict[int, Mapping] = {}
     best: int | None = None
-    for rank in range(skip_ranks):
-        outcome[rank] = "skipped"
-        seconds[rank] = 0.0
     if skip_ranks:
         counters().rungs_skipped += skip_ranks // per_ii
 
     def bound() -> int:
         # never submit at or above a landed success: canonical pruning
         return n_ranks if best is None else best
-
-    def record(rank: int, verdict: str, secs: float = 0.0) -> None:
-        outcome[rank] = verdict
-        seconds[rank] = secs
-        ii, attempt = point(rank)
-        report.timeline.append([ii, attempt, verdict, round(secs, 4)])
 
     next_rank = skip_ranks
     cancel_check = ctx.cancel_check
@@ -479,7 +416,7 @@ def portfolio_map(
                 raise CancelledSearch(
                     f"ladder cancelled at rank {next_rank}/{n_ranks}"
                 )
-            if best is not None and all(r in outcome for r in range(best)):
+            if best is not None and all(r in resolved for r in range(best)):
                 break  # every lower rung resolved: canonical winner stands
             if next_rank >= bound() and not inflight:
                 err = MappingError(mapper.ladder_fail_message(dfg))
@@ -494,7 +431,6 @@ def portfolio_map(
                 fut.add_done_callback(lambda _f: ctx.budget.release())
                 inflight[fut] = next_rank
                 next_rank += 1
-                report.probes_launched += 1
                 stats.probes_launched += 1
             done, _pending = wait(
                 list(inflight),
@@ -504,31 +440,20 @@ def portfolio_map(
                 timeout=None if cancel_check is None else 0.05,
             )
             # process simultaneous completions in canonical rank order so
-            # the report's timeline/waste labels are deterministic too
+            # the useful/wasted split is deterministic too
             for fut in sorted(done, key=inflight.__getitem__):
                 rank = inflight.pop(fut)
+                resolved.add(rank)
                 if fut.cancelled():
-                    record(rank, "cancelled")
-                    report.probes_cancelled += 1
                     stats.probes_cancelled += 1
                     continue
                 res: ProbeResult = fut.result()
                 counters().add(res.counters)
-                stats.probes_completed += 1
                 if best is not None and rank > best:
                     # completed above an already-landed success: waste
-                    record(rank, "wasted", res.seconds)
-                    report.probes_wasted += 1
-                    report.wasted_seconds += res.seconds
                     stats.probes_wasted += 1
                     stats.wasted_seconds += res.seconds
                     continue
-                record(
-                    rank,
-                    "success" if res.mapping is not None else "fail",
-                    res.seconds,
-                )
-                report.useful_seconds += res.seconds
                 stats.useful_seconds += res.seconds
                 if res.mapping is not None:
                     mappings[rank] = res.mapping
@@ -538,26 +463,18 @@ def portfolio_map(
                     for f2, r2 in list(inflight.items()):
                         if r2 > best and f2.cancel():
                             inflight.pop(f2)
-                            record(r2, "cancelled")
-                            report.probes_cancelled += 1
+                            resolved.add(r2)
                             stats.probes_cancelled += 1
     finally:
         # Probes still running above the winner (or after an error) cannot
         # be interrupted; cancel what never started and let the rest drain
         # into the pool — their wall clock is charged to waste on arrival.
-        for fut, rank in list(inflight.items()):
+        for fut in inflight:
             if fut.cancel():
-                record(rank, "cancelled")
-                report.probes_cancelled += 1
                 stats.probes_cancelled += 1
             else:
-                record(rank, "abandoned")
-                report.probes_wasted += 1
                 stats.probes_wasted += 1
                 fut.add_done_callback(_charge_waste)
-        report.winner = point(best) if best is not None else None
-        if log is not None:
-            log.append(report)
 
     winner = mappings[best]
     # The mapping was built against the worker's CGRA/DFG copies; rebind to

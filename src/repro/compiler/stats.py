@@ -51,7 +51,6 @@ class MapperCounters:
     dfs_calls: int = 0  #: depth-first searches (route >= II, self-collisions)
     expansions: int = 0  #: time-extended states expanded across both searches
     placement_probes: int = 0  #: (time, PE) candidates probed by the placer
-    trial_commits: int = 0  #: tentative commit+rollback scoring passes
     target_cache_hits: int = 0  #: memoized per-(dst, hop-filter) goal tables reused
     move_cache_hits: int = 0  #: memoized per-(pe, hint) move orderings reused
     rungs_skipped: int = 0  #: II rungs skipped as already proven failed (memoized)
@@ -87,14 +86,12 @@ class SearchStats:
     wall clock splits into *useful* seconds (probes the serial ladder would
     also have run, i.e. at or below the canonical winner) and *wasted*
     seconds (speculation that overshot the winner).  ``ladders`` counts
-    portfolio searches; ``serial_ladders`` counts searches that took the
-    in-process serial path (workers=1 or no free budget).
+    portfolio searches.  A compile job's own scope
+    (:func:`job_counters`) is what ``CompileStats.search`` reports.
     """
 
     ladders: int = 0  #: portfolio (parallel) ladder searches run
-    serial_ladders: int = 0  #: ladders that took the serial in-process path
     probes_launched: int = 0  #: (II, attempt) probes submitted to workers
-    probes_completed: int = 0  #: probes that ran to a success/fail verdict
     probes_cancelled: int = 0  #: probes cancelled before they started
     probes_wasted: int = 0  #: completed probes above the winner (discarded)
     useful_seconds: float = 0.0  #: probe seconds at/below the canonical winner

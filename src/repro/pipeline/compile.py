@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
-from repro.compiler.stats import job_counters
+from repro.compiler.stats import SearchStats, job_counters
 from repro.core.pagemaster import steady_state_ii
 from repro.core.paging import PageLayout, choose_page_shape
 from repro.kernels import get_kernel, kernel_names
@@ -119,9 +119,11 @@ class CompileStats:
     (probe workers report their deltas back, so speculative search effort
     is included).  ``base_map_seconds``/``paged_map_seconds`` split the
     mapper wall clock by phase (unconstrained baseline vs ring-constrained
-    paged mapping).  ``search`` is present when the compile ran through the
-    speculative portfolio engine: probe launch/cancel/waste totals plus the
-    per-ladder (II, attempt) outcome timelines.
+    paged mapping).  ``search`` is the job's
+    :class:`~repro.compiler.stats.SearchStats` scope when the compile ran
+    through the speculative portfolio engine (ladders raced, probes
+    launched/cancelled/wasted, useful vs wasted probe seconds), else
+    ``None``.
     """
 
     kernel: str
@@ -131,24 +133,8 @@ class CompileStats:
     base_map_seconds: float
     paged_map_seconds: float
     counters: dict[str, int]
-    search: dict | None = field(default=None)
-    arch: str | None = field(default=None)
-
-    def as_record(self) -> dict:
-        rec = {
-            "kernel": self.kernel,
-            "size": self.size,
-            "page_size": self.page_size,
-            "seconds": round(self.seconds, 4),
-            "base_map_seconds": round(self.base_map_seconds, 4),
-            "paged_map_seconds": round(self.paged_map_seconds, 4),
-            "counters": dict(self.counters),
-        }
-        if self.search is not None:
-            rec["search"] = dict(self.search)
-        if self.arch is not None:
-            rec["arch"] = self.arch
-        return rec
+    search: SearchStats | None = None
+    arch: str | None = None
 
 
 def job_key(job: CompileJob) -> ArtifactKey:
@@ -161,24 +147,6 @@ def job_key(job: CompileJob) -> ArtifactKey:
         {"cgra": cgra.fingerprint(), "page_shape": list(shape)}
     )
     return ArtifactKey(dfg.fingerprint(), arch_fp, job.mapper_config.fingerprint())
-
-
-def _search_record(log) -> dict:
-    """Compress a job's ladder reports into the ``CompileStats.search``
-    record: probe totals, speculation efficiency, per-ladder timelines."""
-    useful = sum(r.useful_seconds for r in log)
-    wasted = sum(r.wasted_seconds for r in log)
-    total = useful + wasted
-    return {
-        "ladders": len(log),
-        "probes_launched": sum(r.probes_launched for r in log),
-        "probes_cancelled": sum(r.probes_cancelled for r in log),
-        "probes_wasted": sum(r.probes_wasted for r in log),
-        "useful_seconds": round(useful, 4),
-        "wasted_seconds": round(wasted, 4),
-        "speculation_efficiency": round(useful / total, 4) if total > 0 else 1.0,
-        "timeline": [r.as_record() for r in log],
-    }
 
 
 def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, CompileStats]:
@@ -205,19 +173,13 @@ def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, CompileSt
     cgra = job.build_cgra()
     layout = make_layout(cgra, job.page_size, job.prefer)
     config = job.mapper_config
-    search_log: list = [] if search is not None else None
-    with job_counters() as (job_ctrs, _job_search):
+    with job_counters() as (job_ctrs, job_search):
         base_started = time.perf_counter()
-        base = map_dfg(
-            dfg, cgra, config=config, search=search, search_log=search_log
-        )
+        base = map_dfg(dfg, cgra, config=config, search=search)
         base_seconds = time.perf_counter() - base_started
         paged_started = time.perf_counter()
         try:
-            paged = map_dfg_paged(
-                dfg, cgra, layout, config=config, search=search,
-                search_log=search_log,
-            )
+            paged = map_dfg_paged(dfg, cgra, layout, config=config, search=search)
         except MappingError:
             paged = None
         paged_seconds = time.perf_counter() - paged_started
@@ -243,7 +205,7 @@ def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, CompileSt
         base_map_seconds=base_seconds,
         paged_map_seconds=paged_seconds,
         counters=job_ctrs.as_dict(),
-        search=_search_record(search_log) if search_log is not None else None,
+        search=job_search if search is not None else None,
         arch=job.arch,
     )
     if paged is None:

@@ -25,9 +25,10 @@ resolves each to its content address
   .compile_many` output at any concurrency.
 
 ``python -m repro.serve`` runs the server; ``python -m repro.bench serve``
-load-generates against an in-process instance and records throughput,
-latency percentiles, coalesce rate and cache hit rate into
-``BENCH_serve.json``.
+load-generates against an in-process instance, prints throughput, latency
+percentiles, coalesce rate and cache hit rate, and asserts one compile
+per distinct job and byte parity.  The service's timed workload is the
+benchmark's ``serve-mixed`` (``perfbench/``).
 """
 
 from repro.serve.protocol import (

@@ -17,6 +17,9 @@ models it the same way the paper models fabric sharing:
   :class:`CancelToken` polled by the ladder
   (:class:`~repro.compiler.search.SearchContext.cancel_check`) and stops
   at the next probe boundary.
+* **stop** resolves every still-queued request with
+  :class:`RequestCancelled` and lets the running ones finish, so every
+  submitted request gets exactly one answer.
 
 Everything here runs on the event loop — single-threaded bookkeeping, no
 locks — except the token, which worker threads poll and is backed by a
@@ -147,8 +150,22 @@ class FairScheduler:
             )
 
     async def stop(self) -> None:
+        """Stop dispatching: still-queued requests resolve with
+        :class:`RequestCancelled` (counted in ``cancelled_queued``) before
+        the first await, so the dispatcher can never pick one; running
+        requests finish."""
         self._stopped = True
         self._wake.set()
+        for queue in self._queues.values():
+            for _key, req in queue.heap:
+                self.cancelled_queued += 1
+                if not req.future.done():
+                    req.future.set_exception(
+                        RequestCancelled(f"request {req.seq}: scheduler stopped")
+                    )
+            queue.heap.clear()
+        self._ring.clear()
+        self._credits.clear()
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None

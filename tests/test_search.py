@@ -28,7 +28,6 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import EMSMapper, MapperConfig, map_dfg
 from repro.compiler.search import (
-    LadderReport,
     MapperSpec,
     ProbeResult,
     ProbeTask,
@@ -37,6 +36,7 @@ from repro.compiler.search import (
     portfolio_map,
     run_probe,
 )
+from repro.compiler.stats import job_counters
 from repro.kernels import get_kernel
 from repro.util.errors import MappingError
 from repro.util.rng import make_rng
@@ -165,7 +165,8 @@ class ScriptedExecutor:
     releases results strictly in *release_order* — regardless of the
     canonical order — so tests can make a high rung land first.  Futures
     stay PENDING until released, which keeps them cancellable exactly like
-    a queued process-pool probe.
+    a queued process-pool probe.  ``futures`` keeps every submitted
+    future by (ii, attempt), so tests can check each probe's fate.
     """
 
     def __init__(self, verdicts, release_order, running_points=()):
@@ -175,6 +176,7 @@ class ScriptedExecutor:
         # the engine's cancel fails on them — like a live pool probe
         self.running = set(running_points)
         self._held: dict[tuple[int, int], Future] = {}
+        self.futures: dict[tuple[int, int], Future] = {}
         self._lock = threading.Condition()
         self._closed = False
         self._pump = threading.Thread(target=self._run, daemon=True)
@@ -187,6 +189,7 @@ class ScriptedExecutor:
             fut.set_running_or_notify_cancel()
         with self._lock:
             self._held[point] = fut
+            self.futures[point] = fut
             self._lock.notify_all()
         return fut
 
@@ -269,6 +272,14 @@ def _spec_and_start(max_ii=None, attempts_per_ii=6):
 # ------------------------------------------------------------ canonical winner
 
 
+def _race(spec, dfg, cgra, ctx):
+    """Run one ladder inside a job counter scope; returns the winner and
+    the scope's :class:`~repro.compiler.stats.SearchStats`."""
+    with job_counters() as (_counters, search):
+        result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx)
+    return result, search
+
+
 class TestCanonicalReduction:
     def test_late_low_attempt_beats_early_high_attempt(self):
         """(start, 1) succeeds *first*; (start, 0) succeeds later and must
@@ -276,20 +287,22 @@ class TestCanonicalReduction:
         spec, dfg, cgra, start = _spec_and_start()
         win, lose = _FakeMapping("canonical"), _FakeMapping("fastest")
         verdicts = {(start, 0): win, (start, 1): lose}
-        log: list[LadderReport] = []
         ctx = _scripted_ctx(verdicts, [(start, 1), (start, 0)], workers=2)
         with ctx:
-            result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx, log=log)
+            result, search = _race(spec, dfg, cgra, ctx)
         assert result is win
         assert result.dfg is dfg and result.cgra is cgra
-        (report,) = log
-        assert report.winner == (start, 0)
+        futures = ctx.executor.futures
+        assert futures[(start, 0)].result().mapping is win
+        assert futures[(start, 1)].result().mapping is lose
         # the early high-attempt success is not the winner; depending on
-        # when the winner's verdict arrived it is recorded as a useful
-        # success (landed first) or as waste (batched with the winner)
-        outcomes = {(ii, a): o for ii, a, o, _s in report.timeline}
-        assert outcomes[(start, 1)] in ("success", "wasted")
-        assert outcomes[(start, 0)] == "success"
+        # when the winner's verdict arrived it is counted as a useful
+        # verdict (landed first) or as waste (batched with the winner)
+        assert search.ladders == 1
+        assert search.probes_launched == 2
+        assert search.probes_cancelled == 0
+        assert search.probes_wasted in (0, 1)
+        assert search.useful_seconds > 0
 
     def test_high_ii_finishing_first_loses_and_prunes(self):
         """A success on II+1 lands while the II rung is still in flight:
@@ -306,22 +319,20 @@ class TestCanonicalReduction:
         }
         # (start+1, 0) completes first; then the start rung resolves
         release = [(start + 1, 0), (start, 0), (start, 1)]
-        log: list[LadderReport] = []
         ctx = _scripted_ctx(verdicts, release, workers=4)
         with ctx:
-            result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx, log=log)
-        assert result is win
-        (report,) = log
-        assert report.winner == (start, 1)
-        outcomes = {(ii, a): o for ii, a, o, _s in report.timeline}
-        assert outcomes[(start + 1, 0)] == "success"  # completed before win
-        assert outcomes[(start, 0)] == "fail"
-        assert outcomes[(start, 1)] == "success"
+            result, search = _race(spec, dfg, cgra, ctx)
+        assert result is win  # the winning attempt on the start rung
+        futures = ctx.executor.futures
+        assert set(futures) == set(verdicts)
+        assert futures[(start + 1, 0)].result().mapping is early
+        assert futures[(start, 0)].result().mapping is None
         # the rung above the early success never ran: cancelled while queued
-        assert outcomes[(start + 1, 1)] == "cancelled"
-        assert report.probes_cancelled >= 1
-        assert report.per_ii()[0][0] == start
-        assert report.per_ii()[0][4] == 1  # winning attempt on the start rung
+        assert futures[(start + 1, 1)].cancelled()
+        # the early success completed before the win: useful, not waste
+        assert search.probes_launched == 4
+        assert search.probes_cancelled == 1
+        assert search.probes_wasted == 0
 
     def test_running_probe_above_winner_is_abandoned_and_charged(self):
         """A probe already *running* when a lower success lands cannot be
@@ -341,30 +352,30 @@ class TestCanonicalReduction:
         # the winner lands while (start, 1) is running; (start+1, *) are
         # still queued, so they cancel cleanly but (start, 1) cannot
         release = [(start, 0), (start, 1)]
-        log: list[LadderReport] = []
         before = SEARCH.snapshot()
         ctx = _scripted_ctx(
             verdicts, release, workers=4, running_points={(start, 1)}
         )
         with ctx:
-            result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx, log=log)
+            result, search = _race(spec, dfg, cgra, ctx)
             assert result is win
-            (report,) = log
-            assert report.winner == (start, 0)
-            outcomes = {(ii, a): o for ii, a, o, _s in report.timeline}
-            assert outcomes[(start, 1)] == "abandoned"
-            assert outcomes[(start + 1, 0)] == "cancelled"
-            assert outcomes[(start + 1, 1)] == "cancelled"
-            assert report.probes_wasted == 1
-            assert report.probes_cancelled == 2
+            futures = ctx.executor.futures
+            assert not futures[(start, 1)].cancelled()  # abandoned, not cancelled
+            assert futures[(start + 1, 0)].cancelled()
+            assert futures[(start + 1, 1)].cancelled()
+            assert search.probes_launched == 4
+            assert search.probes_wasted == 1
+            assert search.probes_cancelled == 2
             # the abandoned probe's verdict arrives after the ladder ended;
             # its seconds land in the global waste account via the callback
+            assert search.wasted_seconds == 0
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if SEARCH.delta(before)["wasted_seconds"] > 0:
                     break
                 time.sleep(0.01)
             assert SEARCH.delta(before)["wasted_seconds"] > 0
+            assert futures[(start, 1)].result().mapping is None
 
     def test_exhausted_lattice_raises_mapping_error(self):
         spec, dfg, cgra, start = _spec_and_start(attempts_per_ii=2)

@@ -188,6 +188,43 @@ class TestFairScheduler:
         assert stats["cancelled_queued"] == 1
         assert stats["dispatched"] == 1
 
+    def test_stop_resolves_queued_requests(self):
+        """stop() answers every still-queued request with RequestCancelled
+        at once and never dispatches it; the running one finishes."""
+
+        async def body():
+            sched = FairScheduler(1)
+            release = asyncio.Event()
+
+            async def blocker(token):
+                await release.wait()
+                return "done"
+
+            async def never(token):  # pragma: no cover - must not run
+                raise AssertionError("dispatched after stop")
+
+            running = sched.submit(blocker)
+            queued = [sched.submit(never, tenant=t) for t in ("a", "b")]
+            sched.start()
+            await asyncio.sleep(0.01)  # blocker occupies the only slot
+            stopping = asyncio.ensure_future(sched.stop())
+            await asyncio.sleep(0)
+            settled = [req.future.done() for req in queued]
+            release.set()
+            await asyncio.wait_for(stopping, timeout=5)
+            errors = [
+                req.future.exception() if req.future.done() else None
+                for req in queued
+            ]
+            return settled, errors, running.future.result(), sched.stats()
+
+        settled, errors, result, stats = _run(body())
+        assert settled == [True, True]
+        assert all(isinstance(exc, RequestCancelled) for exc in errors)
+        assert result == "done"
+        assert stats["cancelled_queued"] == 2
+        assert stats["dispatched"] == 1 and stats["queued"] == 0
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             FairScheduler(0)
@@ -334,6 +371,45 @@ class TestCompileService:
         assert stats["cancelled"] == 1
         assert stats["store"]["puts"] == 1  # only the leader's artifact
         assert stats["scheduler"]["cancelled_queued"] == 1
+
+    def test_close_answers_queued_miss(self, tmp_path, monkeypatch):
+        """Closing the service while a miss is queued behind a running
+        compile returns, and the queued request gets one RequestCancelled
+        answer; the running compile finishes and is stored."""
+        import threading
+
+        import repro.serve.service as service_mod
+
+        real = service_mod.compile_job
+        release = threading.Event()
+
+        def gated(job, search=None):
+            release.wait(10)
+            return real(job, search=search)
+
+        monkeypatch.setattr(service_mod, "compile_job", gated)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            service = await CompileService(config).start()
+            running = asyncio.ensure_future(service.submit(_request("sor")))
+            await asyncio.sleep(0.1)  # sor occupies the only slot
+            queued = asyncio.ensure_future(service.submit(_request("mpeg")))
+            await asyncio.sleep(0.05)
+            closing = asyncio.ensure_future(service.close())
+            await asyncio.sleep(0.05)
+            release.set()
+            await asyncio.wait_for(closing, timeout=10)
+            results = await asyncio.wait_for(
+                asyncio.gather(running, queued), timeout=5
+            )
+            return results, service.stats()
+
+        (res_running, res_queued), stats = _run(body())
+        assert res_running.ok and res_running.source == "compiled"
+        assert not res_queued.ok and res_queued.error == "RequestCancelled"
+        assert stats["scheduler"]["cancelled_queued"] == 1
+        assert stats["store"]["puts"] == 1
 
     def test_cancel_unknown_request_is_false(self, tmp_path):
         async def body():
